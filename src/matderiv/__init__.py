@@ -29,6 +29,7 @@ from .cstep import (
     regular_cs_1,
 )
 from .divdiff import (
+    dd_table,
     descloux_eval,
     divided_difference,
     dk_first_order,

@@ -13,7 +13,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .errors import MatDerivError, ReferenceValidationFailed
+import numpy as np
+
+from .errors import DimensionMismatch, MatDerivError, ReferenceValidationFailed
 from .experiments import (
     CUSTOM_ROUTES,
     ExperimentConfig,
@@ -125,15 +127,31 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read_jet_term(key: tuple[int, ...], path: str, dim: int | None) -> np.ndarray:
+    """Read one --jet file and reject what no route can use, naming the file."""
+    m = read_matrix(path)
+    rows, cols = m.shape
+    if rows != cols:
+        raise DimensionMismatch(f"{path}: jet term {key} is {rows}x{cols}, not square")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{path}: jet term {key} has non-finite entries")
+    if dim is not None and rows != dim:
+        raise DimensionMismatch(f"{path}: jet term {key} has dim {rows}, expected {dim}")
+    return m
+
+
 def _parse_custom_inputs(args: argparse.Namespace):
     if not args.jet:
         raise ValueError("custom needs at least one --jet INDEX=FILE term")
     terms = {}
+    dim = None
     for item in args.jet:
         key_text, sep, path = item.partition("=")
         if not sep:
             raise ValueError(f"bad --jet value {item!r}; expected INDEX=FILE")
-        terms[_parse_index(key_text)] = read_matrix(path)
+        key = _parse_index(key_text)
+        terms[key] = _read_jet_term(key, path, dim)
+        dim = terms[key].shape[0]
     alpha_arg = _parse_index(args.alpha) if args.alpha else None
     dirs_arg = _parse_index(args.dirs) if args.dirs else None
     nvars = len(next(iter(terms)))

@@ -35,7 +35,7 @@ from .divdiff import dk_first_order, dk_general, dk_second_order, jet_to_eigenba
 from .errors import DimensionMismatch, ReferenceValidationFailed
 from .funcs import MatrixFunction, get_function
 from .linalg import as_matrix, hermitian_eig, spectral_norm
-from .multiindex import MultiIndex, alpha_to_dirs, as_index, order, unit
+from .multiindex import MultiIndex, alpha_to_dirs, as_index, iter_sub_indices, order, unit
 from .qperturb import (
     density_deriv_1,
     density_deriv_2,
@@ -508,8 +508,9 @@ def compute_route(
         return partial_via_frechet_sum(f, jet, alpha)
     if route == "dk":
         d = hermitian_eig(jet.base)
-        needed = jet_to_eigenbasis(d, jet.terms)
-        return dk_general(f.scalar, d, needed, alpha)
+        # every nonzero t <= alpha is a part of some splitting of alpha
+        needed = {t: jet.term(t) for t in iter_sub_indices(alpha) if any(t)}
+        return dk_general(f.scalar, d, jet_to_eigenbasis(d, needed), alpha)
     if route == "cs":
         hs = _custom_step(route, alpha, h)
         if m == 1:

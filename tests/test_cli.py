@@ -187,3 +187,50 @@ def test_unknown_route_rejected_by_parser(tmp_path, capsys):
         "custom", "--jet", f"0={base}", "--alpha", "1", "--route", "psychic",
     ])
     assert code == 1
+
+
+def _custom_with_files(tmp_path, base, second):
+    base_path = tmp_path / "base.txt"
+    second_path = tmp_path / "d1.txt"
+    write_matrix(base_path, base)
+    write_matrix(second_path, second)
+    code = main([
+        "custom",
+        "--jet", f"0={base_path}",
+        "--jet", f"1={second_path}",
+        "--alpha", "1",
+    ])
+    return code, second_path
+
+
+def test_custom_non_square_term_is_config_error(tmp_path, capsys):
+    rng = np.random.default_rng(24)
+    code, path = _custom_with_files(
+        tmp_path, random_hermitian(rng, 4), random_complex_matrix(rng, 4)[:, :3]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "configuration error" in err
+    assert str(path) in err and "not square" in err
+
+
+def test_custom_nan_entry_is_config_error(tmp_path, capsys):
+    rng = np.random.default_rng(25)
+    bad = random_complex_matrix(rng, 4)
+    bad[1, 2] = complex(np.nan, 0.0)
+    code, path = _custom_with_files(tmp_path, random_hermitian(rng, 4), bad)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "configuration error" in err
+    assert str(path) in err and "non-finite" in err
+
+
+def test_custom_term_size_mismatch_is_config_error(tmp_path, capsys):
+    rng = np.random.default_rng(26)
+    code, path = _custom_with_files(
+        tmp_path, random_hermitian(rng, 5), random_complex_matrix(rng, 4)
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "configuration error" in err
+    assert str(path) in err and "has dim 4, expected 5" in err

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from matderiv import (
+    SpectralDecomp,
+    dd_table,
     descloux_eval,
     divided_difference,
     dk_first_order,
@@ -18,17 +20,21 @@ from matderiv import (
     partial_via_blocktri,
     PathJet,
 )
+from matderiv import divdiff
+from matderiv.divdiff import TAU_CONFL
 from matderiv.errors import (
     ComplexityRefusal,
     DimensionMismatch,
+    DomainError,
     EmptyIndex,
     InsufficientDerivatives,
     MissingJetTerm,
     NotTriangular,
 )
-from matderiv.funcs import SCALAR_COS, SCALAR_EXP, SCALAR_X2, ScalarFunction
+from matderiv.funcs import SCALAR_COS, SCALAR_EXP, SCALAR_X2, SCALAR_X3, ScalarFunction
 from matderiv.linalg import frobenius
-from matderiv.multiindex import iter_sub_indices
+from matderiv.multiindex import iter_sub_indices, t_permutations
+from matderiv.qperturb import step_function
 
 
 def rand_hermitian(rng, n):
@@ -258,3 +264,165 @@ def test_dk_general_default_cost_cap_engages():
     }
     with pytest.raises(ComplexityRefusal):
         dk_general(SCALAR_EXP, d, eig_terms, (3,))
+
+
+# --------------------------------------------------------------------------
+# the vectorized table builder against the scalar reference
+
+TABLE_MU = 0.0123
+
+
+def _table_spectra():
+    """Unsorted node vectors: separated, repeated, and clustered at and
+    below the confluence threshold."""
+    rng = np.random.default_rng(30)
+    n = 12
+    gapped = np.cumsum(rng.uniform(1e-3, 0.3, n)) - 1.2
+    repeats = np.array([0.3, 0.3, 0.3, -0.7, -0.7, 1.1, 0.9, 0.9, -0.2, -0.2, -0.2, -0.2])
+    half_tau = np.repeat(rng.uniform(-1.0, 1.0, n // 2), 2) + np.tile([0.0, 0.5 * TAU_CONFL], n // 2)
+    at_tau = np.repeat(rng.uniform(-1.0, 1.0, n // 2), 2) + np.tile([0.0, TAU_CONFL], n // 2)
+    spectra = {
+        "gapped": gapped,
+        "repeats": repeats,
+        "half_tau": half_tau,
+        "at_tau": at_tau,
+    }
+    return {name: rng.permutation(x) for name, x in spectra.items()}
+
+
+@pytest.mark.parametrize(
+    "f",
+    [SCALAR_EXP, SCALAR_COS, SCALAR_X2, SCALAR_X3, step_function(TABLE_MU)],
+    ids=lambda f: f.name,
+)
+@pytest.mark.parametrize("spectrum", ["gapped", "repeats", "half_tau", "at_tau"])
+def test_dd_table_matches_scalar_reference(f, spectrum):
+    nodes = _table_spectra()[spectrum]
+    assert not np.any(nodes == TABLE_MU)
+    table = dd_table(f, nodes, 3)
+    for k in range(4):
+        dense = table.dense(k)
+        for idx in itertools.combinations_with_replacement(range(len(nodes)), k + 1):
+            ref = divided_difference(f, [nodes[i] for i in idx])
+            assert abs(dense[idx] - ref) <= 1e-12 * max(1.0, abs(ref)), (k, idx)
+
+
+def test_dd_table_complex_nodes_match_scalar_reference():
+    rng = np.random.default_rng(31)
+    nodes = rng.uniform(-1, 1, 8) + 1j * rng.uniform(-1, 1, 8)
+    nodes[3] = nodes[5].real + 1j * (nodes[5].imag + 0.25)  # equal real parts
+    for f in (SCALAR_EXP, SCALAR_COS, SCALAR_X3):
+        table = dd_table(f, nodes, 3)
+        for k in range(4):
+            dense = table.dense(k)
+            for idx in itertools.combinations_with_replacement(range(len(nodes)), k + 1):
+                ref = divided_difference(f, [nodes[i] for i in idx])
+                assert abs(dense[idx] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_dd_table_permutation_invariant():
+    rng = np.random.default_rng(32)
+    table = dd_table(SCALAR_COS, rng.uniform(-2, 2, 6), 3)
+    dense = table.dense(3)
+    for perm in itertools.permutations(range(4)):
+        assert np.array_equal(dense, dense.transpose(perm))
+
+
+def _counting_exp():
+    calls = {"eval": 0}
+
+    def ev(x):
+        calls["eval"] += 1
+        return np.exp(x)
+
+    return ScalarFunction(name="exp", eval_fn=ev, deriv_fn=lambda x, k: np.exp(x)), calls
+
+
+def test_dk_general_evaluates_f_once_per_eigenvalue():
+    rng = np.random.default_rng(33)
+    n = 7
+    for alpha in ((1,), (1, 1), (2, 1), (0, 3)):
+        terms = {t: rand_hermitian(rng, n) for t in iter_sub_indices(alpha)}
+        d = hermitian_eig(terms[(0,) * len(alpha)])
+        f, calls = _counting_exp()
+        dk_general(f, d, jet_to_eigenbasis(d, terms), alpha)
+        assert calls["eval"] == n
+
+
+def _dk_dense_reference(f, d, eig_terms, alpha):
+    """dk_general written out: one dense divided-difference tensor per
+    level from the scalar reference, one einsum per t_permutations tuple."""
+    n = d.dim
+    lam = d.eigenvalues
+    letters = "abcdefghij"
+    total = np.zeros((n, n), dtype=complex)
+    for m in range(1, sum(alpha) + 1):
+        dd = np.empty((n,) * (m + 1), dtype=complex)
+        for idx in np.ndindex(dd.shape):
+            dd[idx] = divided_difference(f, [lam[i] for i in idx])
+        pairs = ",".join(letters[i] + letters[i + 1] for i in range(m))
+        spec = f"{pairs},{letters[:m + 1]}->{letters[0]}{letters[m]}"
+        for t in t_permutations(alpha, m):
+            total += np.einsum(spec, *[eig_terms[ti] for ti in t], dd)
+    return d.from_eigenbasis(total)
+
+
+def test_dk_general_matches_dense_reference():
+    rng = np.random.default_rng(34)
+    n = 5
+    for alpha, f in (((1, 1), SCALAR_EXP), ((2, 1), SCALAR_COS), ((0, 3), SCALAR_EXP), ((2, 2), SCALAR_COS)):
+        terms = {t: rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+                 for t in iter_sub_indices(alpha)}
+        terms[(0, 0)] = rand_hermitian(rng, n)
+        d = hermitian_eig(terms[(0, 0)])
+        eig_terms = jet_to_eigenbasis(d, terms)
+        ref = _dk_dense_reference(f, d, eig_terms, alpha)
+        got = dk_general(f, d, eig_terms, alpha)
+        assert frobenius(got - ref) <= 1e-12 * frobenius(ref)
+
+
+def test_dk_general_slab_size_does_not_change_result(monkeypatch):
+    rng = np.random.default_rng(35)
+    n = 6
+    alpha = (2, 1)
+    terms = {t: rand_hermitian(rng, n) for t in iter_sub_indices(alpha)}
+    d = hermitian_eig(terms[(0, 0)])
+    eig_terms = jet_to_eigenbasis(d, terms)
+    whole = dk_general(SCALAR_EXP, d, eig_terms, alpha)
+    monkeypatch.setattr(divdiff, "_SLAB_ELEMENTS", 50)  # several leading indices per slab
+    np.testing.assert_allclose(dk_general(SCALAR_EXP, d, eig_terms, alpha), whole, rtol=0, atol=1e-13)
+    monkeypatch.setattr(divdiff, "_SLAB_ELEMENTS", 1)  # one leading index per slab
+    np.testing.assert_allclose(dk_general(SCALAR_EXP, d, eig_terms, alpha), whole, rtol=0, atol=1e-13)
+
+
+def test_dk_general_unsorted_decomposition():
+    rng = np.random.default_rng(36)
+    n = 6
+    alpha = (1, 2)
+    terms = {t: rand_hermitian(rng, n) for t in iter_sub_indices(alpha)}
+    d = hermitian_eig(terms[(0, 0)])
+    p = rng.permutation(n)
+    shuffled = SpectralDecomp(eigenvalues=d.eigenvalues[p], vectors=d.vectors[:, p])
+    ref = dk_general(SCALAR_COS, d, jet_to_eigenbasis(d, terms), alpha)
+    got = dk_general(SCALAR_COS, shuffled, jet_to_eigenbasis(shuffled, terms), alpha)
+    assert frobenius(got - ref) <= 1e-12 * frobenius(ref)
+
+
+def test_dk_general_propagates_insufficient_derivatives():
+    capped = ScalarFunction(
+        name="exp1", eval_fn=np.exp, deriv_fn=lambda x, k: np.exp(x), max_order=1
+    )
+    d = hermitian_eig(np.diag([0.2, 0.2, 0.9]))
+    eye = np.eye(3, dtype=complex)
+    with pytest.raises(InsufficientDerivatives):
+        dk_general(capped, d, {(1,): eye, (2,): eye}, (2,))
+
+
+def test_dk_general_propagates_step_domain_error():
+    mu = 0.5
+    d = hermitian_eig(np.diag([0.1, mu, 0.9]))
+    eye = np.eye(3, dtype=complex)
+    with pytest.raises(DomainError):
+        dk_general(step_function(mu), d, {(1,): eye}, (1,))
+    with pytest.raises(DomainError):
+        dk_first_order(step_function(mu), d, eye)

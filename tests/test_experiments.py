@@ -26,7 +26,7 @@ from matderiv.experiments import (
     run_fig1,
     run_fig2,
 )
-from matderiv import PathJet, get_function
+from matderiv import PathJet, get_function, jet_from_directions
 
 
 def test_geometric_grid_descending():
@@ -227,3 +227,16 @@ def test_compute_route_order_limits():
     with pytest.raises(DimensionMismatch):
         compute_route("voodoo", f, jet, (1,))
     assert set(CUSTOM_ROUTES) == {"blocktri", "frechet_sum", "dk", "cs", "hybrid", "fd"}
+
+
+def test_compute_route_dk_matches_blocktri_on_multilinear_jet():
+    # jet_from_directions stores no mixed or repeated terms; they read as zero
+    rng = np.random.default_rng(15)
+    n = 5
+    jet = jet_from_directions(
+        random_hermitian(rng, n), [random_hermitian(rng, n), random_complex_matrix(rng, n)]
+    )
+    f = get_function("exp")
+    for alpha in ((1, 0), (1, 1), (2, 0), (0, 2)):
+        ref = compute_route("blocktri", f, jet, alpha)
+        assert rel_error(compute_route("dk", f, jet, alpha), ref) <= 1e-9
