@@ -24,6 +24,7 @@ The cost of ``dk_general`` at order m = |alpha| on an n x n base is then:
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -157,10 +158,16 @@ class _MultisetLevel:
     drop_last: np.ndarray
 
 
-def _multiset_levels(n: int, m: int, idx_type) -> tuple[list[_MultisetLevel], list[np.ndarray]]:
+@functools.lru_cache(maxsize=16)
+def _multiset_levels(
+    n: int, m: int, idx_type
+) -> tuple[tuple[_MultisetLevel, ...], tuple[np.ndarray, ...]]:
     """Levels 0..m of the sorted multisets of range(n), and their insert
     tables: ``inserts[k][a, r]`` is the level-k rank of level-(k-1)
-    multiset r with index a added. Ranks are stored as ``idx_type``."""
+    multiset r with index a added. Ranks are stored as ``idx_type``.
+
+    The result depends only on the arguments, so it is cached and shared
+    by every table built for the same (n, m); its arrays are read-only."""
     offsets = [
         np.array([math.comb(v + k, k + 1) for v in range(n + 1)], dtype=idx_type)
         for k in range(m + 1)
@@ -190,7 +197,12 @@ def _multiset_levels(n: int, m: int, idx_type) -> tuple[list[_MultisetLevel], li
             offsets[k][a] + np.arange(len(prev.last), dtype=idx_type),
             offsets[k][v] + np.take(inserts[-1], prev.drop_last, axis=1),
         ))
-    return levels, inserts
+    for level in levels:
+        for arr in (level.first, level.last, level.drop_first, level.drop_last):
+            arr.setflags(write=False)
+    for arr in inserts:
+        arr.setflags(write=False)
+    return tuple(levels), tuple(inserts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +212,9 @@ class DividedDifferenceTable:
     ``order`` sorts the nodes. ``values[k][r]`` is f[x_{i_0}, ..., x_{i_k}]
     for the sorted multiset of colex rank r over sorted node positions, and
     for k >= 1 ``inserts[k][a, r]`` is the level-k rank of level-(k-1)
-    multiset r with position a added. ``ranks`` and ``dense`` expand a
-    level to all index tuples.
+    multiset r with position a added; the insert tables are shared by
+    every table of the same size and are read-only. ``ranks`` and
+    ``dense`` expand a level to all index tuples.
     """
 
     order: np.ndarray
@@ -261,7 +274,7 @@ def dd_table(
         for i in np.flatnonzero(confluent):
             vals[i] = _confluent_value(f, lo[i], hi[i], k)
         values.append(vals)
-    return DividedDifferenceTable(order=perm, values=tuple(values), inserts=tuple(inserts))
+    return DividedDifferenceTable(order=perm, values=tuple(values), inserts=inserts)
 
 
 def first_dd_table(

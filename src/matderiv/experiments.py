@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -173,10 +172,6 @@ def checks_to_csv(checks: Sequence[CheckRecord]) -> str:
         status = "pass" if c.passed else "fail"
         lines.append(f"{c.name},{repr(float(c.value))},{repr(float(c.threshold))},{status}")
     return "\n".join(lines) + "\n"
-
-
-def write_text(path: str | Path, text: str) -> None:
-    Path(path).write_text(text)
 
 
 # --------------------------------------------------------------------------

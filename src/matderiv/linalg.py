@@ -31,11 +31,6 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.complex128)
 
 
-def same_shape(a: np.ndarray, b: np.ndarray, names: str = "operands") -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{names}: shapes {a.shape} and {b.shape} differ")
-
-
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, "fro"))
 

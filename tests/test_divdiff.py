@@ -328,6 +328,23 @@ def test_dd_table_permutation_invariant():
         assert np.array_equal(dense, dense.transpose(perm))
 
 
+def test_dd_table_rank_structure_is_shared_and_read_only():
+    rng = np.random.default_rng(33)
+    nodes = rng.uniform(-1, 1, 7)
+    table = dd_table(SCALAR_EXP, nodes, 2)
+    with pytest.raises(ValueError):
+        table.inserts[1][0, 0] = 0
+    for n, m in ((3, 1), (9, 3), (7, 3), (5, 2)):
+        dd_table(SCALAR_COS, rng.uniform(-1, 1, n), m)
+    again = dd_table(SCALAR_X3, nodes, 2)
+    assert again.inserts[1] is table.inserts[1]
+    for k in range(3):
+        dense = again.dense(k)
+        for idx in itertools.combinations_with_replacement(range(len(nodes)), k + 1):
+            ref = divided_difference(SCALAR_X3, [nodes[i] for i in idx])
+            assert abs(dense[idx] - ref) <= 1e-12 * max(1.0, abs(ref)), (k, idx)
+
+
 def _counting_exp():
     calls = {"eval": 0}
 

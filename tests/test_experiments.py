@@ -159,23 +159,26 @@ def test_deterministic_mode_zeroes_runtime_and_fixes_bytes():
 
 
 def test_run_density_demo_all_checks_pass():
-    config = ExperimentConfig(seed=0, n=6)
-    result = run_density_demo(config)
-    assert result.all_passed
-    names = [c.name for c in result.checks]
-    assert names == [
-        "p1_hermitian",
-        "p1_commutation",
-        "p2_commutation",
-        "p1_vs_dk",
-        "p2_vs_dk",
-        "p1_vs_fd",
-        "p2_vs_fd",
-        "q1_orthogonal",
-        "q1_vs_fd",
-        "q2_vs_fd",
-    ]
-    assert 0 < result.n_occ < 6
+    # the two sizes the CLI sweeps run; a repeat must give the same bytes
+    for n in (6, 20):
+        config = ExperimentConfig(seed=0, n=n)
+        result = run_density_demo(config)
+        assert result.all_passed
+        assert checks_to_csv(result.checks) == checks_to_csv(run_density_demo(config).checks)
+        names = [c.name for c in result.checks]
+        assert names == [
+            "p1_hermitian",
+            "p1_commutation",
+            "p2_commutation",
+            "p1_vs_dk",
+            "p2_vs_dk",
+            "p1_vs_fd",
+            "p2_vs_fd",
+            "q1_orthogonal",
+            "q1_vs_fd",
+            "q2_vs_fd",
+        ]
+        assert 0 < result.n_occ < n
 
 
 def test_run_custom_identity_returns_term():

@@ -7,6 +7,7 @@ from matderiv import (
     density_deriv_1,
     density_deriv_2,
     density_matrix,
+    dk_second_order,
     eigvec_correction_1,
     eigvec_correction_2,
     hermitian_eig,
@@ -203,6 +204,34 @@ def test_density_deriv_2_matches_mixed_finite_difference():
         ) / (4.0 * e * e)
     fd = (4.0 * stencil(eps) - stencil(2.0 * eps)) / 3.0
     assert frobenius(p2 - fd) <= 1e-4 * max(frobenius(p2), 1.0)
+
+
+@pytest.mark.parametrize("ne", [0, 1, 4, 8, 9])
+def test_density_deriv_2_matches_dk_at_every_occupation(ne):
+    # n = 9 is odd, so the occupied and virtual blocks are never square
+    # and a swapped block slice cannot go unnoticed
+    rng = np.random.default_rng(20)
+    n = 9
+    h0 = rand_hermitian(rng, n)
+    hb = rand_hermitian(rng, n)
+    hg = rand_hermitian(rng, n)
+    hx = rand_hermitian(rng, n)
+    d = hermitian_eig(h0)
+    lam = d.eigenvalues
+    if ne == 0:
+        mu = float(lam[0]) - 1.0
+    elif ne == n:
+        mu = float(lam[-1]) + 1.0
+    else:
+        mu = float(lam[ne - 1] + lam[ne]) / 2.0
+    assert split_at_mu(d, mu).n_occ == ne
+    p2 = density_deriv_2(d, hb, hg, hx, mu)
+    ref = dk_second_order(
+        step_function(mu), d, d.to_eigenbasis(hb), d.to_eigenbasis(hg), d.to_eigenbasis(hx)
+    )
+    if ne in (0, n):
+        assert not np.any(p2)
+    assert frobenius(p2 - ref) <= 1e-10 * frobenius(ref)
 
 
 def test_density_derivs_reject_mu_on_eigenvalue():
