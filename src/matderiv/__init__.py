@@ -8,8 +8,10 @@ On top of those, closed-form derivatives of density matrices and
 ground-state eigenvectors for Hermitian pencils.
 """
 from .blocktri import (
+    IMAG,
     PathJet,
     build_xk,
+    embed,
     frechet_via_blocktri,
     jet_from_directions,
     longest_path,
@@ -17,15 +19,12 @@ from .blocktri import (
     partial_via_frechet_sum,
 )
 from .cstep import (
-    StepScheme,
-    block_embed,
     central_fd_1,
     central_fd_2_mixed,
     cs_frechet_1,
     cs_frechet_2,
     cs_partial_2,
     hybrid_partial_2,
-    multicomplex_embed,
     regular_cs_1,
 )
 from .divdiff import (
@@ -59,9 +58,7 @@ from .errors import (
 from .funcs import FUNCTIONS, MatrixFunction, ScalarFunction, get_function
 from .linalg import (
     SpectralDecomp,
-    assemble_2x2,
     hermitian_eig,
-    kron_identity_left,
     matrix_cos,
     matrix_exp,
     spectral_apply,

@@ -1,14 +1,19 @@
 """Block upper triangular construction of matrix function derivatives.
 
-Embedding the derivative data of a matrix path into a block matrix of
-doubled size once per derivative order turns differentiation into a single
-function evaluation: the requested derivative is the top-right block of
-``f`` applied to the embedding. The same machinery evaluates multilinear
-directional derivatives, and a partition sum converts those back into
-mixed partial derivatives, giving two independent exact routes.
+One builder, ``embed``, writes X = sum_t C_t (x) u^t over a product of
+units: a nilpotent shift of size s (u^s = 0) differentiates exactly, a
+2x2 imaginary unit (u^2 = -1) carries a complex-like step. Giving each
+variable of a derivative request one shift of size alpha_i + 1 turns
+differentiation into a single function evaluation on a matrix of
+prod(alpha_i + 1) n rows: the top-right block of ``f`` applied to the
+embedding is the requested derivative over alpha!. The same machinery
+evaluates multilinear directional derivatives, and a partition sum
+converts those back into mixed partial derivatives, giving two
+independent exact routes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -25,6 +30,7 @@ from .linalg import as_matrix, extract_block
 from .multiindex import (
     MultiIndex,
     as_index,
+    iter_sub_indices,
     order,
     resolve_request,
     s_partitions,
@@ -32,6 +38,7 @@ from .multiindex import (
 )
 
 MAX_ORDER = 6
+IMAG = -1  # unit code for the 2x2 imaginary unit [[0, 1], [-1, 0]]
 
 MatrixCallable = Callable[[np.ndarray], np.ndarray]
 
@@ -109,13 +116,55 @@ def jet_from_directions(a0: np.ndarray, es: Sequence[np.ndarray]) -> PathJet:
     return PathJet(terms=terms, order=k, missing_is_zero=True)
 
 
+def embed(coeffs: Mapping[MultiIndex, np.ndarray], units: Sequence[int]) -> np.ndarray:
+    """Block matrix X = sum_t coeffs[t] (x) u_1^t_1 ... u_L^t_L.
+
+    ``units[i]`` is a size s >= 1, the nilpotent shift with ones on the
+    first superdiagonal (u^s = 0), or IMAG, the 2x2 unit with u^2 = -1.
+    Unit 1 is the innermost block digit. Block (r, c) carries the
+    coefficient whose digit is c_i - r_i on a shift and r_i xor c_i on an
+    imaginary unit, negated once per imaginary digit set in both t and r.
+    One imaginary unit with ``{(0,): a, (1,): b}`` gives ``[[a, b], [-b, a]]``.
+    """
+    if not coeffs:
+        raise DimensionMismatch("no coefficients given")
+    sizes = [2 if u == IMAG else int(u) for u in units]
+    if not sizes or min(sizes) < 1:
+        raise DimensionMismatch(f"units must be IMAG or positive sizes, got {tuple(units)}")
+    strides = [math.prod(sizes[:i]) for i in range(len(sizes))]
+    nb = math.prod(sizes)
+    n = next(iter(coeffs.values())).shape[0]
+    x = np.zeros((nb * n, nb * n), dtype=np.complex128)
+    for t, c in coeffs.items():
+        if len(t) != len(sizes) or any(not 0 <= d < s for d, s in zip(t, sizes)):
+            raise DimensionMismatch(f"coefficient {tuple(t)} out of range for units {tuple(units)}")
+        if c.shape != (n, n):
+            raise DimensionMismatch(f"coefficient {tuple(t)} has shape {c.shape}, expected ({n}, {n})")
+        places = [(0, 0, False)]  # (row block, column block, negated)
+        for d, u, s, st in zip(t, units, sizes, strides):
+            if u == IMAG:
+                digit = ((0, d * st, False), (st, (1 - d) * st, d == 1))
+            else:
+                digit = [(r * st, (r + d) * st, False) for r in range(s - d)]
+            places = [(r + dr, col + dc, neg != dn)
+                      for r, col, neg in places for dr, dc, dn in digit]
+        for r, col, neg in places:
+            x[r * n:(r + 1) * n, col * n:(col + 1) * n] = -c if neg else c
+    return x
+
+
+def _factorial(alpha: Sequence[int]) -> int:
+    return math.prod(math.factorial(v) for v in alpha)
+
+
 def build_xk(jet: PathJet, dirs: Sequence[int]) -> np.ndarray:
     """Block upper triangular embedding for the directions ``dirs``.
 
-    Level i doubles the matrix; block (r, c) of the result is the jet term
-    whose multi-index collects one unit per level set in c but not in r,
-    and is zero unless the bits of r are a subset of the bits of c. Bit 0
-    corresponds to ``dirs[0]``.
+    Each distinct variable in ``dirs``, in order of first appearance,
+    gets one nilpotent shift of size a + 1, a its count in ``dirs``; the
+    first is the innermost block digit. The coefficient of u^t is the
+    jet term A_t / t!, so the result has prod(a + 1) n rows and f of it
+    holds the derivative over alpha! in its top-right block.
     """
     dirs = tuple(int(d) for d in dirs)
     k = len(dirs)
@@ -126,21 +175,18 @@ def build_xk(jet: PathJet, dirs: Sequence[int]) -> np.ndarray:
     for d in dirs:
         if not 1 <= d <= jet.nvars:
             raise DimensionMismatch(f"direction {d} out of range 1..{jet.nvars}")
-    n = jet.dim
-    nb = 1 << k
-    full = nb - 1
-    x = np.zeros((nb * n, nb * n), dtype=np.complex128)
-    for r in range(nb):
-        for c in range(nb):
-            if r & (c ^ full):
-                continue
-            diff = c & ~r
-            t = [0] * jet.nvars
-            for lev in range(k):
-                if diff >> lev & 1:
-                    t[dirs[lev] - 1] += 1
-            x[r * n:(r + 1) * n, c * n:(c + 1) * n] = jet.term(tuple(t))
-    return x
+    variables = tuple(dict.fromkeys(dirs))
+    counts = tuple(dirs.count(v) for v in variables)
+    coeffs = {}
+    for s in iter_sub_indices(counts):
+        t = [0] * jet.nvars
+        for v, d in zip(variables, s):
+            t[v - 1] = d
+        a = jet.term(tuple(t))
+        w = _factorial(s)
+        # a complex divide by 1 can flip the sign of a zero, so skip it
+        coeffs[s] = a / w if w > 1 else a
+    return embed(coeffs, [c + 1 for c in counts])
 
 
 def partial_via_blocktri(
@@ -150,18 +196,26 @@ def partial_via_blocktri(
     dirs: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Mixed partial derivative of f(A(x)) read off one block evaluation."""
-    _, d = resolve_request(alpha, dirs, jet.nvars)
+    a, d = resolve_request(alpha, dirs, jet.nvars)
     x = build_xk(jet, d)
-    fx = f(x)
-    return extract_block(fx, 0, (1 << len(d)) - 1, jet.dim)
+    corner = extract_block(f(x), 0, x.shape[0] // jet.dim - 1, jet.dim)
+    w = _factorial(a)
+    return corner * w if w > 1 else corner
 
 
 def frechet_via_blocktri(
     f: MatrixCallable, a0: np.ndarray, es: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """k-th derivative of f at a0 in directions es (symmetric multilinear)."""
-    jet = jet_from_directions(a0, es)
-    return partial_via_blocktri(f, jet, dirs=tuple(range(1, len(es) + 1)))
+    """k-th derivative of f at a0 in directions es (symmetric multilinear).
+
+    Directions that are the same object share one variable, so
+    D^3 f[E, E, E] is one third-order partial on a 4n embedding.
+    """
+    index: dict[int, int] = {}
+    dirs = [index.setdefault(id(e), len(index) + 1) for e in es]
+    distinct = list({id(e): e for e in es}.values())
+    jet = jet_from_directions(a0, distinct)
+    return partial_via_blocktri(f, jet, dirs=dirs)
 
 
 def partial_via_frechet_sum(

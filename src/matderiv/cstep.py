@@ -1,49 +1,31 @@
 """Complex-step style derivative approximations built from block embeddings.
 
 A multicomplex number with units j_1, ..., j_L (each squaring to -1) is
-represented as a block matrix of its coefficients; applying a matrix
-function to that representation and reading one block realizes high-order
-step derivatives without subtractive cancellation. The same mechanism with
-an exact triangular inner level gives the hybrid scheme. Plain central
-differences and the classic imaginary-step trick are provided alongside as
-baselines; each choice is selectable through a StepScheme value.
+represented as a block matrix of its coefficients by ``blocktri.embed``;
+applying a matrix function to that representation and reading one block
+realizes high-order step derivatives without subtractive cancellation.
+The same builder with a nilpotent shift of size 2 inside one imaginary
+unit gives the hybrid scheme. Plain central differences and the classic
+imaginary-step trick are provided alongside as baselines.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .blocktri import PathJet
+from .blocktri import IMAG, PathJet, embed
 from .errors import DimensionMismatch, NotReal
-from .linalg import as_matrix, assemble_2x2, extract_block, frobenius
+from .linalg import as_matrix, extract_block, frobenius
 from .multiindex import as_index, order, split_last
 
 DEFAULT_H_FIRST = 1e-8
 DEFAULT_H_SECOND = 1e-5
-
-STEP_KINDS = ("regular_cs", "block_cs", "hybrid", "central_fd", "blocktri_exact")
+# largest imaginary entry regular_cs_1 still treats as real data
+REAL_IMAG_TOL = 1e-14
 
 MatrixCallable = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class StepScheme:
-    """A named approximation route plus its step size.
-
-    ``blocktri_exact`` ignores the step; every other kind requires h > 0.
-    """
-
-    kind: str
-    h: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in STEP_KINDS:
-            raise DimensionMismatch(f"unknown scheme kind {self.kind!r}; choices: {STEP_KINDS}")
-        if self.kind != "blocktri_exact" and not self.h > 0.0:
-            raise DimensionMismatch(f"scheme {self.kind!r} needs a positive step, got {self.h}")
 
 
 def _warn_if_step_underflows(h: float, scale: float) -> None:
@@ -57,64 +39,6 @@ def _warn_if_step_underflows(h: float, scale: float) -> None:
         )
 
 
-def block_embed(coeffs: Mapping[int, np.ndarray], levels: int) -> np.ndarray:
-    """Block-matrix representation of a matrix-valued multicomplex number.
-
-    ``coeffs`` maps a bitmask over the imaginary units to its coefficient
-    matrix (mask 0 is the real part). Block (r, c) of the result carries
-    the coefficient for mask ``r ^ c``, with one sign flip per unit of that
-    mask already set in r. One level with ``{0: a, 1: b}`` gives
-    ``[[a, b], [-b, a]]``.
-    """
-    if levels < 1:
-        raise DimensionMismatch(f"need at least one level, got {levels}")
-    if not coeffs:
-        raise DimensionMismatch("no coefficients given")
-    nb = 1 << levels
-    mats: dict[int, np.ndarray] = {}
-    n = None
-    for mask, m in coeffs.items():
-        if not 0 <= int(mask) < nb:
-            raise DimensionMismatch(f"coefficient mask {mask} out of range for {levels} levels")
-        a = as_matrix(m, f"coefficient {mask}")
-        if n is None:
-            n = a.shape[0]
-        elif a.shape[0] != n:
-            raise DimensionMismatch(f"coefficient {mask} has dim {a.shape[0]}, expected {n}")
-        mats[int(mask)] = a
-    x = np.zeros((nb * n, nb * n), dtype=np.complex128)
-    for r in range(nb):
-        for c in range(nb):
-            m = mats.get(r ^ c)
-            if m is None:
-                continue
-            sign = 1.0
-            mask = r ^ c
-            for i in range(levels):
-                if mask >> i & 1 and r >> i & 1:
-                    sign = -sign
-            x[r * n:(r + 1) * n, c * n:(c + 1) * n] = sign * m
-    return x
-
-
-def multicomplex_embed(jet_terms: Sequence[np.ndarray], h: float) -> np.ndarray:
-    """Embed a base matrix and step directions, one fresh unit per direction.
-
-    ``jet_terms`` is ``(a0, e1, ..., ej)``; level i carries ``h * e_i`` on
-    its own unit, so the result is the recursion
-    ``X_i = [[X_{i-1}, I (x) h E_i], [-I (x) h E_i, X_{i-1}]]`` written out
-    as a single ``2^j n`` by ``2^j n`` matrix.
-    """
-    if len(jet_terms) < 2:
-        raise DimensionMismatch(
-            f"need a base matrix and at least one direction, got {len(jet_terms)} term(s)"
-        )
-    coeffs: dict[int, np.ndarray] = {0: as_matrix(jet_terms[0], "a0")}
-    for i, e in enumerate(jet_terms[1:], start=1):
-        coeffs[1 << (i - 1)] = h * as_matrix(e, f"e{i}")
-    return block_embed(coeffs, levels=len(jet_terms) - 1)
-
-
 def cs_frechet_1(
     f: MatrixCallable, a0, e1, h: float = DEFAULT_H_FIRST
 ) -> np.ndarray:
@@ -126,7 +50,7 @@ def cs_frechet_1(
     a0 = as_matrix(a0, "a0")
     e1 = as_matrix(e1, "e1")
     _warn_if_step_underflows(h, frobenius(a0))
-    x = block_embed({0: a0, 1: h * e1}, levels=1)
+    x = embed({(0,): a0, (1,): h * e1}, (IMAG,))
     return extract_block(f(x), 0, 1, a0.shape[0]) / h
 
 
@@ -138,7 +62,7 @@ def cs_frechet_2(
     e1 = as_matrix(e1, "e1")
     e2 = as_matrix(e2, "e2")
     _warn_if_step_underflows(h, frobenius(a0))
-    x = block_embed({0: a0, 1: h * e1, 2: h * e2}, levels=2)
+    x = embed({(0, 0): a0, (1, 0): h * e1, (0, 1): h * e2}, (IMAG, IMAG))
     return extract_block(f(x), 0, 3, a0.shape[0]) / (h * h)
 
 
@@ -162,8 +86,9 @@ def cs_partial_2(
     """
     a0, a_beta, a_gamma, a_alpha = _split_second_order(jet, alpha)
     _warn_if_step_underflows(h, frobenius(a0))
-    x = block_embed(
-        {0: a0, 1: h * a_beta, 2: h * a_gamma, 3: h * h * a_alpha}, levels=2
+    x = embed(
+        {(0, 0): a0, (1, 0): h * a_beta, (0, 1): h * a_gamma, (1, 1): h * h * a_alpha},
+        (IMAG, IMAG),
     )
     return extract_block(f(x), 0, 3, jet.dim) / (h * h)
 
@@ -174,19 +99,18 @@ def hybrid_partial_2(
     """Second-order partial derivative: exact triangular level inside one
     block step level.
 
-    The inner doubling differentiates exactly in the first split direction;
-    the outer unit steps in the second. Only one factor of h appears, so
-    the truncation behaves like a first derivative's while computing a
-    second derivative.
+    The inner nilpotent shift of size 2 differentiates exactly in the
+    first split direction; the outer imaginary unit steps in the second.
+    Only one factor of h appears, so the truncation behaves like a first
+    derivative's while computing a second derivative.
     """
     a0, a_beta, a_gamma, a_alpha = _split_second_order(jet, alpha)
     _warn_if_step_underflows(h, frobenius(a0))
-    n = jet.dim
-    zero = np.zeros((n, n), dtype=np.complex128)
-    inner0 = assemble_2x2(a0, a_beta, zero, a0)
-    inner1 = assemble_2x2(a_gamma, a_alpha, zero, a_gamma)
-    x = block_embed({0: inner0, 1: h * inner1}, levels=1)
-    return extract_block(f(x), 0, 3, n) / h
+    x = embed(
+        {(0, 0): a0, (1, 0): a_beta, (0, 1): h * a_gamma, (1, 1): h * a_alpha},
+        (2, IMAG),
+    )
+    return extract_block(f(x), 0, 3, jet.dim) / h
 
 
 def central_fd_1(f: MatrixCallable, a0, e1, h: float) -> np.ndarray:
@@ -227,7 +151,7 @@ def central_fd_2_mixed(f: MatrixCallable, jet: PathJet, h: float, alpha=None) ->
 
 
 def regular_cs_1(
-    f: MatrixCallable, a0, e1, h: float = DEFAULT_H_FIRST, imag_tol: float = 1e-14
+    f: MatrixCallable, a0, e1, h: float = DEFAULT_H_FIRST
 ) -> np.ndarray:
     """Classic complex step: imaginary part of f(a0 + i h e1) over h.
 
@@ -236,7 +160,7 @@ def regular_cs_1(
     """
     a0 = as_matrix(a0, "a0")
     e1 = as_matrix(e1, "e1")
-    if np.max(np.abs(a0.imag)) > imag_tol or np.max(np.abs(e1.imag)) > imag_tol:
+    if np.max(np.abs(a0.imag)) > REAL_IMAG_TOL or np.max(np.abs(e1.imag)) > REAL_IMAG_TOL:
         raise NotReal("regular complex step requires real input matrices")
     _warn_if_step_underflows(h, frobenius(a0))
     return np.imag(f(a0.real + 1j * h * e1.real)) / h

@@ -49,6 +49,9 @@ FIG2_GRID = (1e-1, 1e-8, 15)
 
 REFERENCE_GATE = 1e-6
 REFERENCE_FD_STEP = 1e-3
+# fit_order's window over h
+FIT_H_LO = 1e-4
+FIT_H_HI = 1e-1
 
 
 @dataclass(frozen=True)
@@ -110,13 +113,8 @@ def rel_error(x, ref) -> float:
     return spectral_norm(x - ref) / denom
 
 
-def fit_order(
-    records: Iterable[ConvergenceRecord],
-    method: str,
-    h_lo: float = 1e-4,
-    h_hi: float = 1e-1,
-) -> float:
-    """Least-squares slope of log10(error) vs log10(h) on a window.
+def fit_order(records: Iterable[ConvergenceRecord], method: str) -> float:
+    """Least-squares slope of log10(error) vs log10(h) on [FIT_H_LO, FIT_H_HI].
 
     The window keeps the fit on the truncation-dominated branch, away from
     the rounding floor at small h.
@@ -124,7 +122,7 @@ def fit_order(
     pts = [
         (r.h, r.rel_error)
         for r in records
-        if r.method == method and h_lo <= r.h <= h_hi and r.rel_error > 0.0
+        if r.method == method and FIT_H_LO <= r.h <= FIT_H_HI and r.rel_error > 0.0
     ]
     if len(pts) < 2:
         raise DimensionMismatch(f"not enough points to fit an order for {method!r}")
@@ -477,7 +475,7 @@ class CustomResult:
         return next(iter(self.results.values()))
 
 
-def _custom_step(route: str, alpha: MultiIndex, h: float | None) -> float:
+def _custom_step(alpha: MultiIndex, h: float | None) -> float:
     if h is not None:
         return h
     return DEFAULT_H_FIRST if order(alpha) == 1 else DEFAULT_H_SECOND
@@ -507,7 +505,7 @@ def compute_route(
         needed = {t: jet.term(t) for t in iter_sub_indices(alpha) if any(t)}
         return dk_general(f.scalar, d, jet_to_eigenbasis(d, needed), alpha)
     if route == "cs":
-        hs = _custom_step(route, alpha, h)
+        hs = _custom_step(alpha, h)
         if m == 1:
             (v,) = alpha_to_dirs(alpha)
             return cs_frechet_1(f, jet.base, jet.term(unit(jet.nvars, v)), hs)
@@ -517,7 +515,7 @@ def compute_route(
     if route == "hybrid":
         if m != 2:
             raise DimensionMismatch(f"route hybrid needs |alpha| = 2, got {alpha}")
-        return hybrid_partial_2(f, jet, alpha, _custom_step(route, alpha, h))
+        return hybrid_partial_2(f, jet, alpha, _custom_step(alpha, h))
     if route == "fd":
         hs = h if h is not None else 1e-5
         if m == 1:

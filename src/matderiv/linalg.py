@@ -1,5 +1,5 @@
 """Dense complex matrix core: validation, spectral decomposition, matrix
-functions, block assembly, and the spectral norm used for error metrics.
+functions, block extraction, and the spectral norm used for error metrics.
 
 All matrices are square numpy arrays promoted to complex128. Operations
 re-validate their inputs so failures surface as typed errors rather than
@@ -8,7 +8,7 @@ numpy broadcasting accidents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -128,30 +128,6 @@ def matrix_cos(a) -> np.ndarray:
     a = as_matrix(a)
     ia = 1j * a
     return _require_finite(0.5 * (scipy.linalg.expm(ia) + scipy.linalg.expm(-ia)), "matrix_cos")
-
-
-def kron_identity_left(k: int, e) -> np.ndarray:
-    """Kronecker product ``I_k (x) e``: e repeated k times on the block diagonal."""
-    e = as_matrix(e, "e")
-    if k < 1:
-        raise DimensionMismatch(f"identity factor must be positive, got {k}")
-    return np.kron(np.eye(k, dtype=np.complex128), e)
-
-
-def assemble_2x2(tl, tr, bl, br) -> np.ndarray:
-    """Assemble ``[[tl, tr], [bl, br]]`` from four equally sized blocks."""
-    return assemble_blocks([[tl, tr], [bl, br]])
-
-
-def assemble_blocks(grid: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
-    """Assemble a block matrix from a rectangular grid of equal square blocks."""
-    blocks = [[as_matrix(b, "block") for b in row] for row in grid]
-    n = blocks[0][0].shape[0]
-    for row in blocks:
-        for b in row:
-            if b.shape != (n, n):
-                raise DimensionMismatch(f"block shape {b.shape} differs from ({n}, {n})")
-    return np.block([[b for b in row] for row in blocks])
 
 
 def extract_block(x: np.ndarray, i: int, j: int, n: int) -> np.ndarray:

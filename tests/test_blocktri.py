@@ -3,11 +3,17 @@ import numpy as np
 import pytest
 
 from matderiv import (
+    IMAG,
     PathJet,
+    alpha_to_dirs,
     build_xk,
+    dk_general,
+    embed,
     frechet_via_blocktri,
     get_function,
+    hermitian_eig,
     jet_from_directions,
+    jet_to_eigenbasis,
     longest_path,
     matrix_exp,
     partial_via_blocktri,
@@ -87,6 +93,7 @@ def test_build_xk_two_levels_layout():
 
 
 def test_build_xk_repeated_direction():
+    # a repeated direction is one shift of size alpha + 1 carrying A_t / t!
     rng = np.random.default_rng(2)
     n = 2
     jet = complete_jet(rng, n, (2,))
@@ -96,10 +103,9 @@ def test_build_xk_repeated_direction():
     x = build_xk(jet, (1, 1))
     z = np.zeros((n, n))
     expected = np.block([
-        [a, a1, a1, a2],
-        [z, a, z, a1],
-        [z, z, a, a1],
-        [z, z, z, a],
+        [a, a1, a2 / 2],
+        [z, a, a1],
+        [z, z, a],
     ])
     np.testing.assert_array_equal(x, expected)
 
@@ -108,7 +114,58 @@ def test_build_xk_zero_directions_block_diagonal():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     jet = PathJet(terms={(0,): a}, order=2, missing_is_zero=True)
     x = build_xk(jet, (1, 1))
-    np.testing.assert_array_equal(x, np.kron(np.eye(4), a.astype(complex)))
+    np.testing.assert_array_equal(x, np.kron(np.eye(3), a.astype(complex)))
+
+
+@pytest.mark.parametrize("alpha", [(2, 0), (3, 0), (2, 1), (2, 2), (1, 1, 1)])
+def test_build_xk_minimal_size(alpha):
+    rng = np.random.default_rng(20)
+    n = 2
+    jet = complete_jet(rng, n, alpha)
+    x = build_xk(jet, alpha_to_dirs(alpha))
+    assert x.shape[0] == np.prod([a + 1 for a in alpha]) * n
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_frechet_repeated_direction_object_shares_one_shift(k):
+    rng = np.random.default_rng(21)
+    n = 3
+    a = rand_complex(rng, n)
+    e = rand_complex(rng, n)
+    exp = get_function("exp")
+    rows = []
+
+    def counting(x):
+        rows.append(x.shape[0])
+        return exp(x)
+
+    shared = frechet_via_blocktri(counting, a, [e] * k)
+    assert rows == [(k + 1) * n]
+    # equal values in distinct objects keep one unit each
+    apart = frechet_via_blocktri(exp, a, [e] * (k - 1) + [e.copy()])
+    assert frobenius(shared - apart) <= 1e-12 * frobenius(apart)
+
+
+def hermitian_base_jet(rng, n, alpha):
+    terms = {t: rand_complex(rng, n) for t in iter_sub_indices(alpha)}
+    m = rand_complex(rng, n)
+    terms[(0,) * len(alpha)] = m + m.conj().T
+    return PathJet(terms=terms, order=sum(alpha))
+
+
+@pytest.mark.parametrize("alpha", [(3, 0), (2, 2), (4, 0), (1, 1, 1)])
+@pytest.mark.parametrize("fname", ["exp", "cos"])
+def test_minimal_embedding_matches_independent_routes(alpha, fname):
+    rng = np.random.default_rng(22)
+    n = 4
+    jet = hermitian_base_jet(rng, n, alpha)
+    f = get_function(fname)
+    got = partial_via_blocktri(f, jet, alpha)
+    d = hermitian_eig(jet.base)
+    nonzero = {t: jet.term(t) for t in iter_sub_indices(alpha) if any(t)}
+    spectral = dk_general(f.scalar, d, jet_to_eigenbasis(d, nonzero), alpha)
+    for ref in (spectral, partial_via_frechet_sum(f, jet, alpha)):
+        assert frobenius(got - ref) <= 1e-10 * frobenius(ref)
 
 
 def test_build_xk_validates_input():
@@ -120,6 +177,22 @@ def test_build_xk_validates_input():
     deep = PathJet(terms={(0,): np.eye(2)}, order=7, missing_is_zero=True)
     with pytest.raises(OrderExceeded):
         build_xk(deep, (1,) * 7)
+
+
+def test_embed_validates_units_and_coefficients():
+    a = np.eye(2, dtype=complex)
+    with pytest.raises(DimensionMismatch):
+        embed({}, (2,))
+    with pytest.raises(DimensionMismatch):
+        embed({(0,): a}, (0,))
+    with pytest.raises(DimensionMismatch):
+        embed({(0,): a, (2,): a}, (2,))
+    with pytest.raises(DimensionMismatch):
+        embed({(0,): a, (2,): a}, (IMAG,))
+    with pytest.raises(DimensionMismatch):
+        embed({(0, 0): a}, (2,))
+    with pytest.raises(DimensionMismatch):
+        embed({(0,): a, (1,): np.eye(3)}, (2,))
 
 
 def test_diagonal_blocks_carry_f_of_base():

@@ -3,10 +3,9 @@ import numpy as np
 import pytest
 
 from matderiv import (
+    IMAG,
     NotReal,
     PathJet,
-    StepScheme,
-    block_embed,
     central_fd_1,
     central_fd_2_mixed,
     cs_frechet_1,
@@ -14,12 +13,12 @@ from matderiv import (
     cs_partial_2,
     dk_first_order,
     dk_second_order,
+    embed,
     get_function,
     hermitian_eig,
     hybrid_partial_2,
     matrix_cos,
     matrix_exp,
-    multicomplex_embed,
     partial_via_blocktri,
     regular_cs_1,
 )
@@ -42,28 +41,20 @@ def complete_jet(rng, n, alpha):
     return PathJet(terms=terms, order=sum(alpha))
 
 
-def test_step_scheme_validation():
-    StepScheme(kind="blocktri_exact")
-    StepScheme(kind="block_cs", h=1e-8)
-    with pytest.raises(DimensionMismatch):
-        StepScheme(kind="block_cs")
-    with pytest.raises(DimensionMismatch):
-        StepScheme(kind="nonsense", h=1.0)
-
-
 def test_block_embed_one_level():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    x = block_embed({0: a, 1: b}, levels=1)
+    x = embed({(0,): a, (1,): b}, (IMAG,))
     np.testing.assert_array_equal(x, np.block([[a, b], [-b, a]]).astype(complex))
 
 
 def test_block_embed_two_level_sign_pattern():
     # golden 1x1 check of every sign in the two-level layout
     a, b, c, d = 1.0, 2.0, 3.0, 5.0
-    x = block_embed(
-        {0: np.array([[a]]), 1: np.array([[b]]), 2: np.array([[c]]), 3: np.array([[d]])},
-        levels=2,
+    x = embed(
+        {(0, 0): np.array([[a]]), (1, 0): np.array([[b]]),
+         (0, 1): np.array([[c]]), (1, 1): np.array([[d]])},
+        (IMAG, IMAG),
     )
     expected = np.array([
         [a, b, c, d],
@@ -77,7 +68,7 @@ def test_block_embed_two_level_sign_pattern():
 def test_multicomplex_embed_one_level():
     a = np.array([[2.0]])
     e = np.array([[3.0]])
-    x = multicomplex_embed([a, e], 0.5)
+    x = embed({(0,): a, (1,): 0.5 * e}, (IMAG,))
     np.testing.assert_array_equal(
         x, np.array([[2.0, 1.5], [-1.5, 2.0]]).astype(complex)
     )
@@ -87,7 +78,7 @@ def test_multicomplex_embed_zero_directions_block_diagonal():
     rng = np.random.default_rng(0)
     a = rand_complex(rng, 2)
     z = np.zeros((2, 2))
-    x = multicomplex_embed([a, z, z], 1.0)
+    x = embed({(0, 0): a, (1, 0): z, (0, 1): z}, (IMAG, IMAG))
     np.testing.assert_array_equal(x, np.kron(np.eye(4), a))
 
 
@@ -101,12 +92,8 @@ def test_multicomplex_embed_matches_direct_recursion():
     x1 = np.block([[a, h * e1], [-h * e1, a]])
     he2 = np.kron(np.eye(2), h * e2)
     x2 = np.block([[x1, he2], [-he2, x1]])
-    np.testing.assert_array_equal(multicomplex_embed([a, e1, e2], h), x2)
-
-
-def test_multicomplex_embed_needs_directions():
-    with pytest.raises(DimensionMismatch):
-        multicomplex_embed([np.eye(2)], 1e-8)
+    x = embed({(0, 0): a, (1, 0): h * e1, (0, 1): h * e2}, (IMAG, IMAG))
+    np.testing.assert_array_equal(x, x2)
 
 
 def test_cs_frechet_1_scalar_reference():
@@ -252,6 +239,21 @@ def test_hybrid_partial_2_vs_exact_route():
     ref = partial_via_blocktri(f, jet, alpha=(1, 1))
     out = hybrid_partial_2(f, jet, (1, 1), 1e-6)
     assert frobenius(out - ref) <= 1e-8 * frobenius(ref)
+
+
+def test_hybrid_partial_2_matches_hand_built_embedding():
+    # one size-2 shift inside one imaginary unit, nested by hand
+    rng = np.random.default_rng(17)
+    n = 3
+    jet = complete_jet(rng, n, (1, 1))
+    a0, ab, ag, ax = jet.base, jet.term((1, 0)), jet.term((0, 1)), jet.term((1, 1))
+    h = 1e-5
+    z = np.zeros((n, n))
+    i0 = np.block([[a0, ab], [z, a0]])
+    i1 = np.block([[ag, ax], [z, ag]])
+    x = np.block([[i0, h * i1], [-h * i1, i0]])
+    expected = matrix_exp(x)[:n, 3 * n:] / h
+    np.testing.assert_array_equal(hybrid_partial_2(matrix_exp, jet, (1, 1), h), expected)
 
 
 def test_hybrid_partial_2_second_order_convergence():

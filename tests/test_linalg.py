@@ -5,9 +5,7 @@ import pytest
 from matderiv import (
     NotHermitian,
     SpectralDecomp,
-    assemble_2x2,
     hermitian_eig,
-    kron_identity_left,
     matrix_cos,
     matrix_exp,
     spectral_apply,
@@ -15,7 +13,6 @@ from matderiv import (
 )
 from matderiv.errors import DimensionMismatch, DomainError
 from matderiv.linalg import (
-    assemble_blocks,
     extract_block,
     frobenius,
     hermitian_defect,
@@ -122,28 +119,12 @@ def test_spectral_apply_identity_reconstructs():
     np.testing.assert_allclose(spectral_apply(lambda x: x, d), a, atol=1e-13)
 
 
-def test_kron_identity_left():
-    out = kron_identity_left(2, np.array([[5.0]]))
-    np.testing.assert_array_equal(out, np.diag([5.0, 5.0]).astype(complex))
-    e = np.arange(4.0).reshape(2, 2)
-    out = kron_identity_left(3, e)
-    assert out.shape == (6, 6)
-    np.testing.assert_array_equal(out, np.kron(np.eye(3), e).astype(complex))
-
-
-def test_assemble_2x2_scalar_blocks():
-    out = assemble_2x2(
-        np.array([[1.0]]), np.array([[2.0]]), np.array([[3.0]]), np.array([[4.0]])
-    )
-    np.testing.assert_array_equal(out, np.array([[1.0, 2.0], [3.0, 4.0]]).astype(complex))
-
-
 def test_assemble_extract_round_trip_exact():
     rng = np.random.default_rng(5)
     n = 3
     blocks = [[rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
                for _ in range(4)] for _ in range(4)]
-    x = assemble_blocks(blocks)
+    x = np.block(blocks)
     for i in range(4):
         for j in range(4):
             # bit-exact: assembly is pure placement
