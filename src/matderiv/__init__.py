@@ -22,7 +22,6 @@ from .cstep import (
     central_fd_1,
     central_fd_2_mixed,
     cs_frechet_1,
-    cs_frechet_2,
     cs_partial_2,
     hybrid_partial_2,
     regular_cs_1,
@@ -31,10 +30,7 @@ from .divdiff import (
     dd_table,
     descloux_eval,
     divided_difference,
-    dk_first_order,
     dk_general,
-    dk_second_order,
-    first_dd_table,
     jet_to_eigenbasis,
 )
 from .errors import (
@@ -61,7 +57,6 @@ from .linalg import (
     hermitian_eig,
     matrix_cos,
     matrix_exp,
-    spectral_apply,
     spectral_norm,
 )
 from .matio import dumps_matrix, loads_matrix, read_matrix, write_matrix
@@ -75,15 +70,11 @@ from .multiindex import (
     t_permutations,
 )
 from .qperturb import (
-    ChemicalPotentialSplit,
     density_deriv_1,
     density_deriv_2,
     density_matrix,
     eigvec_correction_1,
     eigvec_correction_2,
-    split_at_mu,
-    step_divdiff_1,
-    step_divdiff_2,
     step_function,
 )
 

@@ -14,6 +14,7 @@ independent exact routes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -225,8 +226,10 @@ def partial_via_frechet_sum(
 
     Sums, over every splitting of ``alpha`` into i nonzero pieces, the i-th
     directional derivative of f at the base point along the corresponding
-    jet terms. Terms are accumulated in canonical order (i ascending,
-    splittings in their canonical order), so results are bit-reproducible.
+    jet terms. Each distinct splitting is evaluated once and weighted by
+    its multiplicity in ``s_partitions``. Terms are accumulated in
+    canonical order (i ascending, splittings in their canonical order), so
+    results are bit-reproducible.
     """
     alpha = as_index(alpha)
     m = order(alpha)
@@ -235,9 +238,9 @@ def partial_via_frechet_sum(
     a0 = jet.base
     total = np.zeros((jet.dim, jet.dim), dtype=np.complex128)
     for i in range(1, m + 1):
-        for part in s_partitions(alpha, i):
-            es = [jet.term(t) for t in part]
-            total += frechet_via_blocktri(f, a0, es)
+        for part, count in Counter(s_partitions(alpha, i)).items():
+            term = frechet_via_blocktri(f, a0, [jet.term(t) for t in part])
+            total += count * term if count > 1 else term
     return total
 
 

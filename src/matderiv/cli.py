@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .blocktri import PathJet
 from .errors import DimensionMismatch, MatDerivError, ReferenceValidationFailed
 from .experiments import (
     CUSTOM_ROUTES,
@@ -28,7 +29,7 @@ from .experiments import (
 )
 from .funcs import FUNCTIONS
 from .matio import dumps_matrix, read_matrix
-from .multiindex import resolve_request
+from .multiindex import order, resolve_request
 
 _GRID_DEFAULTS = {
     "fig1-real": dict(n=1, h_max=1e-1, h_min=1e-13, points=25),
@@ -156,8 +157,9 @@ def _parse_custom_inputs(args: argparse.Namespace):
     dirs_arg = _parse_index(args.dirs) if args.dirs else None
     nvars = len(next(iter(terms)))
     alpha, _ = resolve_request(alpha_arg, dirs_arg, nvars)
+    jet = PathJet(terms=terms, order=max([order(alpha)] + [order(k) for k in terms]))
     routes = args.route or ["blocktri"]
-    return terms, alpha, routes
+    return jet, alpha, routes
 
 
 def _cmd_fig1(cfg: ExperimentConfig, variant: str) -> int:
@@ -192,8 +194,8 @@ def _cmd_density(cfg: ExperimentConfig, mu: float | None) -> int:
 
 
 def _cmd_custom(cfg: ExperimentConfig, args: argparse.Namespace, inputs) -> int:
-    terms, alpha, routes = inputs
-    result = run_custom(terms, args.function, routes, alpha, h=args.h_max)
+    jet, alpha, routes = inputs
+    result = run_custom(jet, args.function, routes, alpha, h=args.h_max)
     _emit(dumps_matrix(result.primary), cfg.out)
     for left, right, err in result.comparisons:
         print(f"compare,{left},{right},{err!r}", file=sys.stderr)

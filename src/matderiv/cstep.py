@@ -54,18 +54,6 @@ def cs_frechet_1(
     return extract_block(f(x), 0, 1, a0.shape[0]) / h
 
 
-def cs_frechet_2(
-    f: MatrixCallable, a0, e1, e2, h: float = DEFAULT_H_SECOND
-) -> np.ndarray:
-    """Second directional derivative by a two-level block step."""
-    a0 = as_matrix(a0, "a0")
-    e1 = as_matrix(e1, "e1")
-    e2 = as_matrix(e2, "e2")
-    _warn_if_step_underflows(h, frobenius(a0))
-    x = embed({(0, 0): a0, (1, 0): h * e1, (0, 1): h * e2}, (IMAG, IMAG))
-    return extract_block(f(x), 0, 3, a0.shape[0]) / (h * h)
-
-
 def _split_second_order(jet: PathJet, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     alpha = as_index(alpha)
     if order(alpha) != 2:
@@ -121,25 +109,12 @@ def central_fd_1(f: MatrixCallable, a0, e1, h: float) -> np.ndarray:
     return (f(a0 + h * e1) - f(a0 - h * e1)) / (2.0 * h)
 
 
-def _infer_second_order_index(jet: PathJet):
-    twos = sorted(t for t in jet.terms if order(t) == 2)
-    if len(twos) != 1:
-        raise DimensionMismatch(
-            f"jet stores {len(twos)} order-2 terms; pass alpha explicitly"
-        )
-    return twos[0]
-
-
-def central_fd_2_mixed(f: MatrixCallable, jet: PathJet, h: float, alpha=None) -> np.ndarray:
-    """Four-point stencil for a second-order partial derivative.
+def central_fd_2_mixed(f: MatrixCallable, jet: PathJet, h: float, alpha) -> np.ndarray:
+    """Four-point stencil for the second-order partial derivative ``alpha``.
 
     Evaluates the second-order path surrogate at the four corners
     (+-h, +-h); the cross term enters with the product of the two signs.
-    When ``alpha`` is omitted the jet must store exactly one order-2 term,
-    which is taken as the target index.
     """
-    if alpha is None:
-        alpha = _infer_second_order_index(jet)
     a0, a_beta, a_gamma, a_alpha = _split_second_order(jet, alpha)
     _warn_if_step_underflows(h, frobenius(a0))
     h2 = h * h

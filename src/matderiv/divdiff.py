@@ -1,7 +1,7 @@
 """Divided differences and the spectral-sum routes for derivatives.
 
 Divided differences are evaluated over sorted nodes with a confluent
-fallback: once two spanning nodes are closer than ``tau_confl`` relative,
+fallback: once two spanning nodes are closer than ``TAU_CONFL`` relative,
 the table entry switches to the analytic derivative at the midpoint. That
 makes both the triangular path evaluation and the eigenbasis formulas
 robust against (near-)repeated eigenvalues, provided the scalar function
@@ -54,9 +54,9 @@ DEFAULT_COST_CAP = 1e7
 _SLAB_ELEMENTS = 1 << 18
 
 
-def _is_confluent(lo, hi, tau_confl: float):
+def _is_confluent(lo, hi):
     """The confluence rule, for scalars or arrays of span endpoints."""
-    return abs(hi - lo) <= tau_confl * (1.0 + abs(lo))
+    return abs(hi - lo) <= TAU_CONFL * (1.0 + abs(lo))
 
 
 def _confluent_value(f: ScalarFunction, lo, hi, span: int) -> complex:
@@ -64,14 +64,12 @@ def _confluent_value(f: ScalarFunction, lo, hi, span: int) -> complex:
     return f.deriv(complex(0.5 * (lo + hi)), span) / math.factorial(span)
 
 
-def divided_difference(
-    f: ScalarFunction, nodes: Sequence[complex], tau_confl: float = TAU_CONFL
-) -> complex:
+def divided_difference(f: ScalarFunction, nodes: Sequence[complex]) -> complex:
     """Divided difference f[x_0, ..., x_m] with confluent handling.
 
     Nodes are sorted lexicographically by (real, imag) first, so clustered
     nodes sit next to each other and the confluent branch sees them as one
-    group. A span whose endpoints satisfy ``|hi - lo| <= tau_confl * (1 +
+    group. A span whose endpoints satisfy ``|hi - lo| <= TAU_CONFL * (1 +
     |lo|)`` is filled with ``f.deriv(mid, span) / span!``.
     """
     xs = sorted((complex(z) for z in nodes), key=lambda z: (z.real, z.imag))
@@ -83,7 +81,7 @@ def divided_difference(
         nxt = []
         for i in range(m - span):
             lo, hi = xs[i], xs[i + span]
-            if _is_confluent(lo, hi, tau_confl):
+            if _is_confluent(lo, hi):
                 nxt.append(_confluent_value(f, lo, hi, span))
             else:
                 nxt.append((col[i + 1] - col[i]) / (hi - lo))
@@ -91,9 +89,7 @@ def divided_difference(
     return complex(col[0])
 
 
-def descloux_eval(
-    f: ScalarFunction, u, tau_confl: float = TAU_CONFL
-) -> np.ndarray:
+def descloux_eval(f: ScalarFunction, u) -> np.ndarray:
     """Evaluate f on an upper triangular matrix by summing increasing paths.
 
     Entry (i, j) collects, over every strictly increasing index path from i
@@ -112,7 +108,7 @@ def descloux_eval(
     def dd(idx: tuple[int, ...]) -> complex:
         val = cache.get(idx)
         if val is None:
-            val = divided_difference(f, [lam[t] for t in idx], tau_confl)
+            val = divided_difference(f, [lam[t] for t in idx])
             cache[idx] = val
         return val
 
@@ -239,9 +235,7 @@ class DividedDifferenceTable:
         return self.values[k][self.ranks(k)[np.ix_(*[pos] * (k + 1))]]
 
 
-def dd_table(
-    f: ScalarFunction, nodes, m: int, tau_confl: float = TAU_CONFL
-) -> DividedDifferenceTable:
+def dd_table(f: ScalarFunction, nodes, m: int) -> DividedDifferenceTable:
     """Divided differences of f over all multisets of up to m+1 of ``nodes``.
 
     Nodes are sorted once by (real, imag) and f is evaluated once per node.
@@ -268,60 +262,13 @@ def dd_table(
     for k in range(1, m + 1):
         level = levels[k]
         lo, hi = x[level.first], x[level.last]
-        confluent = _is_confluent(lo, hi, tau_confl)
+        confluent = _is_confluent(lo, hi)
         prev = values[-1]
         vals = (prev[level.drop_first] - prev[level.drop_last]) / np.where(confluent, 1.0, hi - lo)
         for i in np.flatnonzero(confluent):
             vals[i] = _confluent_value(f, lo[i], hi[i], k)
         values.append(vals)
     return DividedDifferenceTable(order=perm, values=tuple(values), inserts=inserts)
-
-
-def first_dd_table(
-    f: ScalarFunction, lam: np.ndarray, tau_confl: float = TAU_CONFL
-) -> np.ndarray:
-    """Matrix of first divided differences f[lam_i, lam_j]."""
-    return dd_table(f, lam, 1, tau_confl).dense(1)
-
-
-def dk_first_order(
-    f: ScalarFunction,
-    d: SpectralDecomp,
-    u_alpha,
-    tau_confl: float = TAU_CONFL,
-) -> np.ndarray:
-    """First derivative of f at a Hermitian point from its eigensystem.
-
-    ``u_alpha`` is the direction already rotated to the eigenbasis
-    (``d.to_eigenbasis``); the result is rotated back to the original basis.
-    In the eigenbasis the derivative is the Hadamard product with the first
-    divided-difference table.
-    """
-    u_alpha = as_matrix(u_alpha, "u_alpha")
-    return dk_general(f, d, {(1,): u_alpha}, (1,), tau_confl, cost_cap=math.inf)
-
-
-def dk_second_order(
-    f: ScalarFunction,
-    d: SpectralDecomp,
-    u_beta,
-    u_gamma,
-    u_alpha,
-    tau_confl: float = TAU_CONFL,
-) -> np.ndarray:
-    """Second mixed derivative from the eigensystem.
-
-    ``u_beta`` and ``u_gamma`` are the two first-order path terms and
-    ``u_alpha`` the second-order (cross) term, all in the eigenbasis. The
-    eigenbasis result couples the pair through second divided differences
-    in both orders; it is rotated back before returning.
-    """
-    terms = {
-        (1, 0): as_matrix(u_beta, "u_beta"),
-        (0, 1): as_matrix(u_gamma, "u_gamma"),
-        (1, 1): as_matrix(u_alpha, "u_alpha"),
-    }
-    return dk_general(f, d, terms, (1, 1), tau_confl, cost_cap=math.inf)
 
 
 def jet_to_eigenbasis(d: SpectralDecomp, terms: Mapping[MultiIndex, np.ndarray]) -> dict[MultiIndex, np.ndarray]:
@@ -376,7 +323,6 @@ def dk_general(
     d: SpectralDecomp,
     jet_eigen: Mapping[MultiIndex, np.ndarray],
     alpha: Sequence[int],
-    tau_confl: float = TAU_CONFL,
     cost_cap: float = DEFAULT_COST_CAP,
 ) -> np.ndarray:
     """Mixed partial derivative of any order from the eigensystem.
@@ -406,7 +352,7 @@ def dk_general(
 
     levels = {m: Counter(t_permutations(alpha, m)) for m in range(1, m_total + 1)}
     factors = {t: lookup(t) for tuples in levels.values() for tup in tuples for t in tup}
-    table = dd_table(f, d.eigenvalues, m_total, tau_confl)
+    table = dd_table(f, d.eigenvalues, m_total)
     perm = table.order
     # work over sorted eigenvalue positions, where the table is indexed
     factors = {t: u[np.ix_(perm, perm)] for t, u in factors.items()}

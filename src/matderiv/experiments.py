@@ -8,9 +8,10 @@ deterministic mode, being the one genuinely nondeterministic column).
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,10 +31,10 @@ from .cstep import (
     hybrid_partial_2,
     regular_cs_1,
 )
-from .divdiff import dk_first_order, dk_general, dk_second_order, jet_to_eigenbasis
+from .divdiff import dk_general, jet_to_eigenbasis
 from .errors import DimensionMismatch, ReferenceValidationFailed
 from .funcs import MatrixFunction, get_function
-from .linalg import as_matrix, hermitian_eig, spectral_norm
+from .linalg import hermitian_eig, spectral_norm
 from .multiindex import MultiIndex, alpha_to_dirs, as_index, iter_sub_indices, order, unit
 from .qperturb import (
     density_deriv_1,
@@ -132,19 +133,15 @@ def fit_order(records: Iterable[ConvergenceRecord], method: str) -> float:
     return float(slope)
 
 
-def random_complex_matrix(
-    rng: np.random.Generator, n: int, lo: float = -0.5, hi: float = 0.5
-) -> np.ndarray:
-    """Dense matrix with independent uniform real and imaginary parts."""
-    re = rng.uniform(lo, hi, size=(n, n))
-    im = rng.uniform(lo, hi, size=(n, n))
+def random_complex_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Dense matrix with independent uniform [-0.5, 0.5) real and imaginary parts."""
+    re = rng.uniform(-0.5, 0.5, size=(n, n))
+    im = rng.uniform(-0.5, 0.5, size=(n, n))
     return re + 1j * im
 
 
-def random_hermitian(
-    rng: np.random.Generator, n: int, lo: float = -0.5, hi: float = 0.5
-) -> np.ndarray:
-    m = random_complex_matrix(rng, n, lo, hi)
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    m = random_complex_matrix(rng, n)
     return 0.5 * (m + m.conj().T)
 
 
@@ -396,11 +393,11 @@ def run_density_demo(config: ExperimentConfig, mu: float | None = None) -> Densi
     p1_g = density_deriv_1(d, h_g, mu)
     p2 = density_deriv_2(d, h_b, h_g, h_x, mu)
 
+    # the generic route at any n: n^3 can exceed the default cost cap
     u_b = d.to_eigenbasis(h_b)
-    u_g = d.to_eigenbasis(h_g)
-    u_x = d.to_eigenbasis(h_x)
-    p1_dk = dk_first_order(step, d, u_b)
-    p2_dk = dk_second_order(step, d, u_b, u_g, u_x)
+    p1_dk = dk_general(step, d, {(1,): u_b}, (1,), cost_cap=math.inf)
+    u_jet = {(1, 0): u_b, (0, 1): d.to_eigenbasis(h_g), (1, 1): d.to_eigenbasis(h_x)}
+    p2_dk = dk_general(step, d, u_jet, (1, 1), cost_cap=math.inf)
 
     eps = 1e-5
     p1_fd = _density_fd_1(h0, h_b, mu, eps)
@@ -528,7 +525,7 @@ def compute_route(
 
 
 def run_custom(
-    terms: Mapping[MultiIndex, np.ndarray],
+    jet: PathJet,
     function_name: str,
     routes: Sequence[str],
     alpha,
@@ -539,11 +536,6 @@ def run_custom(
     if not routes:
         raise DimensionMismatch("need at least one route")
     f = get_function(function_name)
-    keys = [as_index(k) for k in terms]
-    jet_order = max([order(alpha)] + [order(k) for k in keys])
-    jet = PathJet(
-        terms={k: as_matrix(v) for k, v in terms.items()}, order=max(jet_order, 1)
-    )
     results: dict[str, np.ndarray] = {}
     for route in routes:
         results[route] = compute_route(route, f, jet, alpha, h)

@@ -8,7 +8,6 @@ numpy broadcasting accidents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -43,11 +42,11 @@ def hermitian_defect(a: np.ndarray) -> float:
     return frobenius(a - a.conj().T) / scale
 
 
-def require_hermitian(a: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     a = as_matrix(a)
     defect = hermitian_defect(a)
-    if defect > rtol:
-        raise NotHermitian(f"relative Hermitian defect {defect:.3e} exceeds {rtol:.1e}")
+    if defect > HERMITIAN_RTOL:
+        raise NotHermitian(f"relative Hermitian defect {defect:.3e} exceeds {HERMITIAN_RTOL:.1e}")
     return a
 
 
@@ -66,10 +65,6 @@ class SpectralDecomp:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        q = self.vectors
-        return (q * self.eigenvalues) @ q.conj().T
-
     def to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
         """Return ``Q^H m Q``."""
         q = self.vectors
@@ -81,34 +76,22 @@ class SpectralDecomp:
         return q @ as_matrix(m, "m") @ q.conj().T
 
 
-def hermitian_eig(a, rtol: float = HERMITIAN_RTOL) -> SpectralDecomp:
+def hermitian_eig(a) -> SpectralDecomp:
     """Eigendecomposition of a Hermitian matrix with ascending eigenvalues.
 
     Raises
     ------
     NotHermitian
-        if the relative Hermitian defect exceeds ``rtol``.
+        if the relative Hermitian defect exceeds ``HERMITIAN_RTOL``.
     NoConvergence
         if the underlying eigensolver fails.
     """
-    a = require_hermitian(a, rtol)
+    a = require_hermitian(a)
     try:
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NoConvergence(str(exc)) from exc
     return SpectralDecomp(eigenvalues=w.astype(np.float64), vectors=q.astype(np.complex128))
-
-
-def spectral_apply(f, d: SpectralDecomp) -> np.ndarray:
-    """Apply a scalar function through a spectral decomposition.
-
-    ``f`` may be a plain callable or anything with an ``eval`` method.
-    DomainError propagates from the scalar function.
-    """
-    evalf: Callable[[float], complex] = getattr(f, "eval", f)
-    vals = np.array([evalf(lam) for lam in d.eigenvalues], dtype=np.complex128)
-    q = d.vectors
-    return (q * vals) @ q.conj().T
 
 
 def _require_finite(x: np.ndarray, what: str) -> np.ndarray:

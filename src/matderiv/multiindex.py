@@ -133,19 +133,28 @@ def resolve_request(
     nvars: int | None = None,
 ) -> tuple[MultiIndex, tuple[int, ...]]:
     """Normalize a derivative request given as a multi-index, a direction
-    sequence, or both (checked for consistency)."""
+    sequence, or both (checked for consistency).
+
+    With ``nvars`` given, a multi-index of another length raises
+    DimensionMismatch; a request of order zero raises EmptyIndex.
+    """
     if alpha is None and dirs is None:
         raise DimensionMismatch("a derivative request needs alpha or dirs")
-    if dirs is None:
-        a = as_index(alpha)
-        return a, alpha_to_dirs(a)
-    d = tuple(int(v) for v in dirs)
     if alpha is None:
+        d = tuple(int(v) for v in dirs)
         a = dirs_to_alpha(d, nvars)
-        return a, d
-    a = as_index(alpha)
-    if dirs_to_alpha(d, len(a)) != a:
-        raise DimensionMismatch(f"dirs {d} do not realize multi-index {a}")
+    else:
+        a = as_index(alpha)
+        if nvars is not None and len(a) != nvars:
+            raise DimensionMismatch(f"multi-index {a} has {len(a)} entries, expected {nvars}")
+        if dirs is None:
+            d = alpha_to_dirs(a)
+        else:
+            d = tuple(int(v) for v in dirs)
+            if dirs_to_alpha(d, len(a)) != a:
+                raise DimensionMismatch(f"dirs {d} do not realize multi-index {a}")
+    if order(a) == 0:
+        raise EmptyIndex("derivative request must have order >= 1")
     return a, d
 
 

@@ -14,8 +14,6 @@ choices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateGroundState, DomainError, TooCloseToMu
@@ -44,74 +42,16 @@ def step_function(mu: float) -> ScalarFunction:
     return ScalarFunction(name=f"step(mu={mu})", eval_fn=ev, deriv_fn=dv)
 
 
-def _check_band(values, mu: float, gap_min: float) -> None:
-    arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    dist = np.abs(arr - mu)
-    if np.any(dist <= 0.5 * gap_min):
-        worst = float(dist.min())
+def _step_dd1_table(lam: np.ndarray, mu: float) -> np.ndarray:
+    """First divided differences of the step function at mu over ``lam``:
+    -1/|li - lj| between an occupied and a virtual level, else 0. Levels
+    within GAP_MIN / 2 of mu raise TooCloseToMu."""
+    dist = np.abs(lam - mu)
+    if np.any(dist <= 0.5 * GAP_MIN):
         raise TooCloseToMu(
-            f"eigenvalue within {worst:.3e} of mu = {mu}; protection band is {0.5 * gap_min:.1e}"
+            f"eigenvalue within {float(dist.min()):.3e} of mu = {mu}; "
+            f"protection band is {0.5 * GAP_MIN:.1e}"
         )
-
-
-@dataclass(frozen=True)
-class ChemicalPotentialSplit:
-    """Occupied/virtual classification of a spectrum against mu."""
-
-    mu: float
-    n_occ: int
-    gap: float
-
-
-def split_at_mu(
-    d: SpectralDecomp, mu: float, gap_min: float = GAP_MIN
-) -> ChemicalPotentialSplit:
-    """Classify eigenvalues as below/above mu, enforcing the protection band."""
-    _check_band(d.eigenvalues, mu, gap_min)
-    n_occ = int(np.sum(d.eigenvalues < mu))
-    gap = float(np.min(np.abs(d.eigenvalues - mu)))
-    return ChemicalPotentialSplit(mu=mu, n_occ=n_occ, gap=gap)
-
-
-def step_divdiff_1(
-    li: float, lj: float, mu: float, gap_min: float = GAP_MIN
-) -> float:
-    """First divided difference of the step function: -1/|li - lj| when the
-    nodes straddle mu, else 0."""
-    _check_band([li, lj], mu, gap_min)
-    if (li < mu) == (lj < mu):
-        return 0.0
-    return -1.0 / abs(li - lj)
-
-
-def step_divdiff_2(
-    li: float, lj: float, lk: float, mu: float, gap_min: float = GAP_MIN
-) -> float:
-    """Second divided difference of the step function.
-
-    Zero unless exactly one node sits on its own side of mu; then the value
-    is +-1 over the product of that node's distances to the other two,
-    negative when the lone node is above mu. Symmetric in the nodes.
-    """
-    _check_band([li, lj, lk], mu, gap_min)
-    nodes = np.array([li, lj, lk], dtype=np.float64)
-    above = nodes >= mu
-    n_above = int(above.sum())
-    if n_above in (0, 3):
-        return 0.0
-    if n_above == 1:
-        lone = float(nodes[above][0])
-        rest = nodes[~above]
-        sign = -1.0
-    else:
-        lone = float(nodes[~above][0])
-        rest = nodes[above]
-        sign = 1.0
-    return sign / float(np.prod(np.abs(lone - rest)))
-
-
-def _step_dd1_table(lam: np.ndarray, mu: float, gap_min: float) -> np.ndarray:
-    _check_band(lam, mu, gap_min)
     below = lam < mu
     diff = lam[:, None] - lam[None, :]
     opposite = below[:, None] != below[None, :]
@@ -127,16 +67,14 @@ def density_matrix(d: SpectralDecomp, mu: float) -> np.ndarray:
     return (q * occ) @ q.conj().T
 
 
-def density_deriv_1(
-    d: SpectralDecomp, h_alpha, mu: float, gap_min: float = GAP_MIN
-) -> np.ndarray:
+def density_deriv_1(d: SpectralDecomp, h_alpha, mu: float) -> np.ndarray:
     """First parameter derivative of the density matrix.
 
     ``h_alpha`` is the Hamiltonian's derivative in the original basis. Only
     occupied-virtual blocks survive, weighted by -1 over the level spacing.
     """
     h_alpha = require_hermitian(as_matrix(h_alpha, "h_alpha"))
-    table = _step_dd1_table(d.eigenvalues, mu, gap_min)
+    table = _step_dd1_table(d.eigenvalues, mu)
     u_alpha = d.to_eigenbasis(h_alpha)
     return d.from_eigenbasis(table * u_alpha)
 
@@ -147,7 +85,6 @@ def density_deriv_2(
     h_gamma,
     h_alpha,
     mu: float,
-    gap_min: float = GAP_MIN,
 ) -> np.ndarray:
     """Second mixed parameter derivative of the density matrix.
 
@@ -166,7 +103,7 @@ def density_deriv_2(
     h_gamma = require_hermitian(as_matrix(h_gamma, "h_gamma"))
     h_alpha = require_hermitian(as_matrix(h_alpha, "h_alpha"))
     lam = d.eigenvalues
-    table = _step_dd1_table(lam, mu, gap_min)
+    table = _step_dd1_table(lam, mu)
     ne = int(np.sum(lam < mu))
     o, w = slice(0, ne), slice(ne, None)
 
@@ -187,33 +124,29 @@ def density_deriv_2(
     return d.from_eigenbasis(v)
 
 
-def _ground_state_parts(
-    d: SpectralDecomp, h1, gap_min: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _ground_state_parts(d: SpectralDecomp, h1) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Validate the gap and return (q, denominators, eigenbasis h1)."""
     h1 = require_hermitian(as_matrix(h1, "h1"))
     if d.dim == 1:
         return None
     lam = d.eigenvalues
-    if lam[1] - lam[0] <= gap_min:
+    if lam[1] - lam[0] <= GAP_MIN:
         raise DegenerateGroundState(
-            f"lowest gap {lam[1] - lam[0]:.3e} is within gap_min = {gap_min:.1e}"
+            f"lowest gap {lam[1] - lam[0]:.3e} is within GAP_MIN = {GAP_MIN:.1e}"
         )
     u = d.to_eigenbasis(h1)
     denom = lam[1:] - lam[0]
     return d.vectors, denom, u
 
 
-def eigvec_correction_1(
-    d: SpectralDecomp, h1, gap_min: float = GAP_MIN
-) -> np.ndarray:
+def eigvec_correction_1(d: SpectralDecomp, h1) -> np.ndarray:
     """First derivative of P(eps) q1: the ground-state vector's response.
 
     Differentiates the projected vector rather than a normalized eigenvector,
     which removes the phase ambiguity; the result coincides with the
     phase-fixed eigenvector derivative.
     """
-    parts = _ground_state_parts(d, h1, gap_min)
+    parts = _ground_state_parts(d, h1)
     if parts is None:
         return np.zeros(1, dtype=np.complex128)
     q, denom, u = parts
@@ -221,16 +154,14 @@ def eigvec_correction_1(
     return q[:, 1:] @ coeff
 
 
-def eigvec_correction_2(
-    d: SpectralDecomp, h1, gap_min: float = GAP_MIN
-) -> np.ndarray:
+def eigvec_correction_2(d: SpectralDecomp, h1) -> np.ndarray:
     """Second derivative of P(eps) q1 for a linear pencil H + eps H1.
 
     Along q1 the result dips by the squared first-order weight; across the
     excited states it mixes second-order channels with a factor 2 because
     this is a derivative, not a series coefficient.
     """
-    parts = _ground_state_parts(d, h1, gap_min)
+    parts = _ground_state_parts(d, h1)
     if parts is None:
         return np.zeros(1, dtype=np.complex128)
     q, denom, u = parts

@@ -13,9 +13,7 @@ import pytest
 from matderiv import (
     PathJet,
     descloux_eval,
-    dk_first_order,
     dk_general,
-    dk_second_order,
     density_deriv_1,
     density_deriv_2,
     density_matrix,
@@ -261,10 +259,9 @@ def test_criterion_09_projector_and_ground_state_suite():
         # generic divided-difference route with the step scalar function
         step = step_function(mu)
         u_b = d.to_eigenbasis(h_b)
-        u_g = d.to_eigenbasis(h_g)
-        u_x = d.to_eigenbasis(h_x)
-        assert rel_error(p1, dk_first_order(step, d, u_b)) <= 1e-10
-        assert rel_error(p2, dk_second_order(step, d, u_b, u_g, u_x)) <= 1e-10
+        u_jet = {(1, 0): u_b, (0, 1): d.to_eigenbasis(h_g), (1, 1): d.to_eigenbasis(h_x)}
+        assert rel_error(p1, dk_general(step, d, {(1,): u_b}, (1,))) <= 1e-10
+        assert rel_error(p2, dk_general(step, d, u_jet, (1, 1))) <= 1e-10
 
         # recomputation difference oracles with one extrapolation step
         def density_at(h_mat):

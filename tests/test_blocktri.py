@@ -168,6 +168,28 @@ def test_minimal_embedding_matches_independent_routes(alpha, fname):
         assert frobenius(got - ref) <= 1e-10 * frobenius(ref)
 
 
+@pytest.mark.parametrize(
+    "alpha,evals,members", [((3, 0), 3, 5), ((2, 2), 9, 15)], ids=["3-0", "2-2"]
+)
+def test_frechet_sum_evaluates_each_distinct_splitting_once(alpha, evals, members):
+    # s_partitions lists a splitting once per multiplicity (``members`` in
+    # all); the sum evaluates each distinct one once and scales it
+    rng = np.random.default_rng(23)
+    n = 3
+    jet = complete_jet(rng, n, alpha)
+    exp = get_function("exp")
+    calls = []
+
+    def counting(x):
+        calls.append(x.shape[0])
+        return exp(x)
+
+    got = partial_via_frechet_sum(counting, jet, alpha)
+    assert len(calls) == evals < members
+    ref = partial_via_blocktri(exp, jet, alpha)
+    assert frobenius(got - ref) <= 1e-12 * frobenius(ref)
+
+
 def test_build_xk_validates_input():
     jet = PathJet(terms={(0,): np.eye(2)}, order=1, missing_is_zero=True)
     with pytest.raises(EmptyIndex):
@@ -268,6 +290,13 @@ def test_partial_accepts_dirs():
     by_alpha = partial_via_blocktri(f, jet, alpha=(1, 1))
     by_dirs = partial_via_blocktri(f, jet, dirs=(1, 2))
     np.testing.assert_array_equal(by_alpha, by_dirs)
+
+
+def test_partial_rejects_alpha_of_other_length():
+    rng = np.random.default_rng(8)
+    jet = complete_jet(rng, 2, (1, 1))
+    with pytest.raises(DimensionMismatch):
+        partial_via_blocktri(get_function("exp"), jet, alpha=(1, 0, 0))
 
 
 def test_route_equivalence_blocktri_vs_partition_sum():

@@ -234,3 +234,35 @@ def test_custom_term_size_mismatch_is_config_error(tmp_path, capsys):
     assert code == 1
     assert "configuration error" in err
     assert str(path) in err and "has dim 4, expected 5" in err
+
+
+def _custom_two_var(tmp_path, jet_keys, alpha):
+    """Run custom on a random two-variable jet with the given term keys."""
+    rng = np.random.default_rng(27)
+    args = ["custom", "--alpha", alpha]
+    for key in jet_keys:
+        path = tmp_path / f"t{key.replace(',', '_')}.txt"
+        write_matrix(path, random_hermitian(rng, 3))
+        args += ["--jet", f"{key}={path}"]
+    return main(args)
+
+
+@pytest.mark.parametrize(
+    "jet_keys,alpha",
+    [
+        (("0,0", "1", "0,1"), "1,1"),  # keys of mixed length
+        (("1,0", "0,1", "1,1"), "1,1"),  # no base term
+        (("0,0", "1,0", "0,1"), "0,0"),  # order zero
+        (("0,0", "1,0", "0,1"), "1,0,0"),  # alpha longer than the jet
+    ],
+    ids=["mixed-key-lengths", "no-base", "order-zero", "alpha-too-long"],
+)
+def test_custom_malformed_request_is_config_error(tmp_path, capsys, jet_keys, alpha):
+    assert _custom_two_var(tmp_path, jet_keys, alpha) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_custom_missing_term_for_request_is_route_error(tmp_path, capsys):
+    # a well-formed request the jet cannot serve fails in the route
+    assert _custom_two_var(tmp_path, ("0,0", "1,0", "0,1"), "2,0") == 2
+    assert "error" in capsys.readouterr().err

@@ -9,14 +9,13 @@ from matderiv import (
     central_fd_1,
     central_fd_2_mixed,
     cs_frechet_1,
-    cs_frechet_2,
     cs_partial_2,
-    dk_first_order,
-    dk_second_order,
+    dk_general,
     embed,
     get_function,
     hermitian_eig,
     hybrid_partial_2,
+    jet_from_directions,
     matrix_cos,
     matrix_exp,
     partial_via_blocktri,
@@ -140,6 +139,10 @@ def test_central_fd_1_cancellation_signature():
     assert np.any(diffs > 0) and np.any(diffs < 0)
 
 
+# second directional derivative by a two-level block step: cs_partial_2 on
+# the multilinear jet of the two directions, at alpha = (1, 1)
+
+
 def test_cs_frechet_2_square_function():
     rng = np.random.default_rng(3)
     n = 3
@@ -147,13 +150,14 @@ def test_cs_frechet_2_square_function():
     e1 = rand_complex(rng, n)
     e2 = rand_complex(rng, n)
     f = get_function("x^2")
-    out = cs_frechet_2(f, a, e1, e2, 1e-4)
+    out = cs_partial_2(f, jet_from_directions(a, [e1, e2]), (1, 1), 1e-4)
     expected = e1 @ e2 + e2 @ e1
     assert frobenius(out - expected) <= 1e-6
 
 
 def test_cs_frechet_2_zero_direction():
-    out = cs_frechet_2(matrix_exp, np.eye(2), np.eye(2), np.zeros((2, 2)), 1e-5)
+    jet = jet_from_directions(np.eye(2), [np.eye(2), np.zeros((2, 2))])
+    out = cs_partial_2(matrix_exp, jet, (1, 1), 1e-5)
     np.testing.assert_allclose(out, np.zeros((2, 2)), atol=1e-20)
 
 
@@ -164,11 +168,10 @@ def test_cs_frechet_2_matches_dk():
     e1 = rand_hermitian(rng, n)
     e2 = rand_hermitian(rng, n)
     d = hermitian_eig(a)
-    out = cs_frechet_2(matrix_cos, a, e1, e2, 1e-5)
+    out = cs_partial_2(matrix_cos, jet_from_directions(a, [e1, e2]), (1, 1), 1e-5)
     z = np.zeros((n, n))
-    ref = dk_second_order(
-        get_function("cos").scalar, d, d.to_eigenbasis(e1), d.to_eigenbasis(e2), z
-    )
+    u_jet = {(1, 0): d.to_eigenbasis(e1), (0, 1): d.to_eigenbasis(e2), (1, 1): z}
+    ref = dk_general(get_function("cos").scalar, d, u_jet, (1, 1))
     assert frobenius(out - ref) <= 1e-8 * frobenius(ref)
 
 
@@ -179,7 +182,8 @@ def test_cs_frechet_2_scalar_matches_explicit_real_embedding():
     he2 = h * e2 * np.eye(2)
     x4 = np.block([[x1, he2], [-he2, x1]]).astype(complex)
     scalar_val = matrix_exp(x4)[0, 3] / (h * h)
-    out = cs_frechet_2(matrix_exp, np.array([[a]]), np.array([[e1]]), np.array([[e2]]), h)
+    jet = jet_from_directions(np.array([[a]]), [np.array([[e1]]), np.array([[e2]])])
+    out = cs_partial_2(matrix_exp, jet, (1, 1), h)
     assert abs(out[0, 0] - scalar_val) <= 1e-15 * abs(scalar_val)
 
 
@@ -286,7 +290,7 @@ def test_central_fd_2_mixed_square_exact():
     a = jet.base
     ab, ag, ax = jet.term((1, 0)), jet.term((0, 1)), jet.term((1, 1))
     expected = ax @ a + a @ ax + ab @ ag + ag @ ab
-    out = central_fd_2_mixed(f, jet, 1e-3)
+    out = central_fd_2_mixed(f, jet, 1e-3, (1, 1))
     assert frobenius(out - expected) <= 1e-9
 
 
@@ -295,21 +299,26 @@ def test_central_fd_2_mixed_vs_exact_route():
     jet = complete_jet(rng, 3, (1, 1))
     f = get_function("cos")
     ref = partial_via_blocktri(f, jet, alpha=(1, 1))
-    out = central_fd_2_mixed(f, jet, 1e-4)
+    out = central_fd_2_mixed(f, jet, 1e-4, (1, 1))
     assert frobenius(out - ref) <= 1e-6 * frobenius(ref)
 
 
 def test_central_fd_2_mixed_needs_unambiguous_target():
+    # the target is always named: each order-2 index of a jet storing
+    # several selects its own term, and other orders are refused
     rng = np.random.default_rng(13)
     n = 2
     terms = {t: rand_complex(rng, n) for t in iter_sub_indices((1, 1))}
     terms[(2, 0)] = rand_complex(rng, n)
     terms[(0, 2)] = rand_complex(rng, n)
     jet = PathJet(terms=terms, order=2)
+    f = get_function("exp")
     with pytest.raises(DimensionMismatch):
-        central_fd_2_mixed(get_function("exp"), jet, 1e-4)
-    out = central_fd_2_mixed(get_function("exp"), jet, 1e-4, alpha=(1, 1))
-    assert out.shape == (n, n)
+        central_fd_2_mixed(f, jet, 1e-4, (1, 0))
+    for alpha in ((1, 1), (2, 0), (0, 2)):
+        ref = partial_via_blocktri(f, jet, alpha=alpha)
+        out = central_fd_2_mixed(f, jet, 1e-4, alpha)
+        assert frobenius(out - ref) <= 1e-6 * frobenius(ref)
 
 
 def test_regular_cs_identity_and_square():
@@ -340,7 +349,7 @@ def test_block_step_handles_complex_input():
     a = rand_hermitian(rng, n)
     e = rand_hermitian(rng, n)
     d = hermitian_eig(a)
-    ref = dk_first_order(get_function("exp").scalar, d, d.to_eigenbasis(e))
+    ref = dk_general(get_function("exp").scalar, d, {(1,): d.to_eigenbasis(e)}, (1,))
     out = cs_frechet_1(matrix_exp, a, e, 1e-6)
     assert frobenius(out - ref) <= 1e-9 * frobenius(ref)
 

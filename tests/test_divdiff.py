@@ -9,10 +9,7 @@ from matderiv import (
     dd_table,
     descloux_eval,
     divided_difference,
-    dk_first_order,
     dk_general,
-    dk_second_order,
-    first_dd_table,
     get_function,
     hermitian_eig,
     jet_to_eigenbasis,
@@ -133,15 +130,18 @@ def test_descloux_sparsity_pruning():
 def test_loewner_symmetry_real_nodes():
     rng = np.random.default_rng(3)
     lam = np.sort(rng.uniform(-1, 1, 6))
-    table = first_dd_table(SCALAR_COS, lam)
+    table = dd_table(SCALAR_COS, lam, 1).dense(1)
     assert np.max(np.abs(table - table.T)) <= 1e-13
     assert np.max(np.abs(table.imag)) <= 1e-15
 
 
 def test_first_dd_table_diagonal_is_derivative():
     lam = np.array([0.0, 0.5, 2.0])
-    table = first_dd_table(SCALAR_EXP, lam)
+    table = dd_table(SCALAR_EXP, lam, 1).dense(1)
     np.testing.assert_allclose(np.diag(table).real, np.exp(lam), rtol=1e-12)
+
+
+# first and second order of the eigenbasis route, through dk_general
 
 
 def test_dk_first_order_identity_function():
@@ -150,7 +150,7 @@ def test_dk_first_order_identity_function():
     d = hermitian_eig(a)
     e = rand_hermitian(rng, 5)
     ident = get_function("x^1")
-    out = dk_first_order(ident.scalar, d, d.to_eigenbasis(e))
+    out = dk_general(ident.scalar, d, {(1,): d.to_eigenbasis(e)}, (1,))
     np.testing.assert_allclose(out, e, atol=1e-13)
 
 
@@ -160,7 +160,7 @@ def test_dk_first_order_diagonal_direction():
     a = rand_hermitian(rng, 4)
     d = hermitian_eig(a)
     w = np.diag(rng.uniform(-1, 1, 4))
-    out = dk_first_order(SCALAR_EXP, d, w.astype(complex))
+    out = dk_general(SCALAR_EXP, d, {(1,): w.astype(complex)}, (1,))
     expected = d.from_eigenbasis(np.diag(np.exp(d.eigenvalues) * np.diag(w)))
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -171,8 +171,8 @@ def test_dk_second_order_reduces_to_first():
     d = hermitian_eig(a)
     u_x = d.to_eigenbasis(rand_hermitian(rng, 4))
     z = np.zeros((4, 4))
-    two = dk_second_order(SCALAR_COS, d, z, z, u_x)
-    one = dk_first_order(SCALAR_COS, d, u_x)
+    two = dk_general(SCALAR_COS, d, {(1, 0): z, (0, 1): z, (1, 1): u_x}, (1, 1))
+    one = dk_general(SCALAR_COS, d, {(1,): u_x}, (1,))
     np.testing.assert_allclose(two, one, atol=1e-13)
 
 
@@ -184,8 +184,8 @@ def test_dk_second_order_square_closed_form():
     ag = rand_hermitian(rng, n)
     ax = rand_hermitian(rng, n)
     d = hermitian_eig(a)
-    got = dk_second_order(
-        SCALAR_X2, d, d.to_eigenbasis(ab), d.to_eigenbasis(ag), d.to_eigenbasis(ax)
+    got = dk_general(
+        SCALAR_X2, d, jet_to_eigenbasis(d, {(1, 0): ab, (0, 1): ag, (1, 1): ax}), (1, 1)
     )
     expected = ax @ a + a @ ax + ab @ ag + ag @ ab
     assert frobenius(got - expected) <= 1e-13 * max(frobenius(expected), 1.0)
@@ -201,30 +201,10 @@ def test_dk_hermitian_preservation():
         u_g = d.to_eigenbasis(rand_hermitian(rng, n))
         u_x = d.to_eigenbasis(rand_hermitian(rng, n))
         for out in (
-            dk_first_order(SCALAR_EXP, d, u_b),
-            dk_second_order(SCALAR_COS, d, u_b, u_g, u_x),
+            dk_general(SCALAR_EXP, d, {(1,): u_b}, (1,)),
+            dk_general(SCALAR_COS, d, {(1, 0): u_b, (0, 1): u_g, (1, 1): u_x}, (1, 1)),
         ):
             assert frobenius(out - out.conj().T) <= 1e-11 * frobenius(out)
-
-
-def test_dk_general_low_orders_match_specialized():
-    rng = np.random.default_rng(9)
-    n = 4
-    terms = {t: rand_hermitian(rng, n) for t in iter_sub_indices((1, 1))}
-    d = hermitian_eig(terms[(0, 0)])
-    eig_terms = jet_to_eigenbasis(d, terms)
-    first = dk_general(SCALAR_EXP, d, eig_terms, (1, 0))
-    np.testing.assert_allclose(
-        first, dk_first_order(SCALAR_EXP, d, eig_terms[(1, 0)]), atol=1e-13
-    )
-    second = dk_general(SCALAR_EXP, d, eig_terms, (1, 1))
-    np.testing.assert_allclose(
-        second,
-        dk_second_order(
-            SCALAR_EXP, d, eig_terms[(1, 0)], eig_terms[(0, 1)], eig_terms[(1, 1)]
-        ),
-        atol=1e-12,
-    )
 
 
 def test_dk_general_third_order_vs_blocktri():
@@ -441,5 +421,3 @@ def test_dk_general_propagates_step_domain_error():
     eye = np.eye(3, dtype=complex)
     with pytest.raises(DomainError):
         dk_general(step_function(mu), d, {(1,): eye}, (1,))
-    with pytest.raises(DomainError):
-        dk_first_order(step_function(mu), d, eye)

@@ -185,7 +185,8 @@ def test_run_custom_identity_returns_term():
     rng = np.random.default_rng(11)
     a = random_hermitian(rng, 3)
     e = random_complex_matrix(rng, 3)
-    out = run_custom({(0,): a, (1,): e}, "identity", ("blocktri",), (1,))
+    jet = PathJet(terms={(0,): a, (1,): e}, order=1)
+    out = run_custom(jet, "identity", ("blocktri",), (1,))
     np.testing.assert_array_equal(out.results["blocktri"], e)
     np.testing.assert_array_equal(out.primary, e)
     assert out.comparisons == []
@@ -195,7 +196,8 @@ def test_run_custom_compares_routes():
     rng = np.random.default_rng(12)
     a = random_hermitian(rng, 3)
     e = random_hermitian(rng, 3)
-    out = run_custom({(0,): a, (1,): e}, "exp", ("blocktri", "dk"), (1,))
+    jet = PathJet(terms={(0,): a, (1,): e}, order=1)
+    out = run_custom(jet, "exp", ("blocktri", "dk"), (1,))
     assert len(out.comparisons) == 1
     left, right, gap = out.comparisons[0]
     assert (left, right) == ("blocktri", "dk")
@@ -206,13 +208,14 @@ def test_run_custom_dk_needs_hermitian_base():
     rng = np.random.default_rng(13)
     a = random_complex_matrix(rng, 3)
     e = random_complex_matrix(rng, 3)
+    jet = PathJet(terms={(0,): a, (1,): e}, order=1)
     with pytest.raises(NotHermitian):
-        run_custom({(0,): a, (1,): e}, "exp", ("dk",), (1,))
+        run_custom(jet, "exp", ("dk",), (1,))
 
 
 def test_run_custom_needs_routes():
     with pytest.raises(DimensionMismatch):
-        run_custom({(0,): np.eye(2), (1,): np.eye(2)}, "exp", (), (1,))
+        run_custom(jet_from_directions(np.eye(2), [np.eye(2)]), "exp", (), (1,))
 
 
 def test_compute_route_order_limits():

@@ -123,3 +123,15 @@ def test_resolve_request():
         resolve_request((2, 0), (1, 2), None)
     with pytest.raises(DimensionMismatch):
         resolve_request(None, None, None)
+
+
+def test_resolve_request_checks_length_and_order():
+    assert resolve_request((1, 0), None, 2) == ((1, 0), (1,))
+    with pytest.raises(DimensionMismatch):
+        resolve_request((1, 0, 0), None, 2)
+    with pytest.raises(DimensionMismatch):
+        resolve_request((1,), (1,), 2)
+    with pytest.raises(EmptyIndex):
+        resolve_request((0, 0), None, 2)
+    with pytest.raises(EmptyIndex):
+        resolve_request(None, (), 2)

@@ -3,17 +3,15 @@ import numpy as np
 import pytest
 
 from matderiv import (
-    ChemicalPotentialSplit,
     density_deriv_1,
     density_deriv_2,
     density_matrix,
-    dk_second_order,
+    divided_difference,
+    dk_general,
     eigvec_correction_1,
     eigvec_correction_2,
     hermitian_eig,
-    split_at_mu,
-    step_divdiff_1,
-    step_divdiff_2,
+    jet_to_eigenbasis,
     step_function,
 )
 from matderiv.errors import (
@@ -46,10 +44,17 @@ def test_step_function_values():
         f.deriv(1.0, 1)
 
 
+# divided differences of the step function at mu = 1: -1/|li - lj| on a
+# straddling pair; on a triple, +-1 over the product of the lone node's
+# distances to the other two, negative when the lone node is above mu
+
+STEP = step_function(1.0)
+
+
 def test_step_divdiff_1_pinned():
-    assert step_divdiff_1(0.0, 2.0, 1.0) == pytest.approx(-0.5)
-    assert step_divdiff_1(0.0, 0.5, 1.0) == 0.0
-    assert step_divdiff_1(2.0, 3.0, 1.0) == 0.0
+    assert divided_difference(STEP, [0.0, 2.0]) == pytest.approx(-0.5)
+    assert divided_difference(STEP, [0.0, 0.5]) == 0.0
+    assert divided_difference(STEP, [2.0, 3.0]) == 0.0
 
 
 def test_step_divdiff_1_symmetry():
@@ -58,42 +63,41 @@ def test_step_divdiff_1_symmetry():
         a, b = rng.uniform(-2.0, 2.0, 2)
         if abs(a - 1.0) < 1e-6 or abs(b - 1.0) < 1e-6 or abs(a - b) < 1e-6:
             continue
-        assert step_divdiff_1(a, b, 1.0) == pytest.approx(
-            step_divdiff_1(b, a, 1.0)
+        assert divided_difference(STEP, [a, b]) == pytest.approx(
+            divided_difference(STEP, [b, a])
         )
 
 
 def test_step_divdiff_1_band_protection():
+    d = hermitian_eig(np.diag([1.0, 2.0]).astype(complex))
     with pytest.raises(TooCloseToMu):
-        step_divdiff_1(1.0, 2.0, 1.0 + 1e-12)
+        density_deriv_1(d, np.eye(2), 1.0 + 1e-12)
 
 
 def test_step_divdiff_2_pinned():
     # lone node above the level: negative sign, 1/((2-0)(2-0.5)) = 1/3
-    assert step_divdiff_2(0.0, 0.5, 2.0, 1.0) == pytest.approx(-1.0 / 3.0)
+    assert divided_difference(STEP, [0.0, 0.5, 2.0]) == pytest.approx(-1.0 / 3.0)
     # lone node below: positive sign, 1/((0.5-2)(0.5-3)) = 1/3.75
-    assert step_divdiff_2(2.0, 3.0, 0.5, 1.0) == pytest.approx(1.0 / 3.75)
+    assert divided_difference(STEP, [2.0, 3.0, 0.5]) == pytest.approx(1.0 / 3.75)
     # all on one side: zero
-    assert step_divdiff_2(0.0, 0.2, 0.4, 1.0) == 0.0
-    assert step_divdiff_2(2.0, 2.5, 3.0, 1.0) == 0.0
+    assert divided_difference(STEP, [0.0, 0.2, 0.4]) == 0.0
+    assert divided_difference(STEP, [2.0, 2.5, 3.0]) == 0.0
 
 
 def test_step_divdiff_2_permutation_invariant():
     from itertools import permutations
 
     nodes = (0.1, 0.7, 1.9)
-    vals = {step_divdiff_2(*p, 1.0) for p in permutations(nodes)}
-    assert len({round(v, 14) for v in vals}) == 1
+    vals = {divided_difference(STEP, list(p)) for p in permutations(nodes)}
+    assert len({round(v.real, 14) for v in vals}) == 1
 
 
 def test_split_at_mu():
+    # the occupied levels are the ones below mu; the band around mu is refused
     d = hermitian_eig(np.diag([-1.0, 0.2, 0.9, 1.4, 2.0]).astype(complex))
-    s = split_at_mu(d, 1.0)
-    assert isinstance(s, ChemicalPotentialSplit)
-    assert s.n_occ == 3
-    assert s.gap == pytest.approx(0.1)
+    assert np.trace(density_matrix(d, 1.0)).real == pytest.approx(3.0, abs=1e-12)
     with pytest.raises(TooCloseToMu):
-        split_at_mu(d, 0.9 + 1e-10)
+        density_deriv_1(d, np.eye(5), 0.9 + 1e-10)
 
 
 def test_density_matrix_is_projector():
@@ -224,11 +228,10 @@ def test_density_deriv_2_matches_dk_at_every_occupation(ne):
         mu = float(lam[-1]) + 1.0
     else:
         mu = float(lam[ne - 1] + lam[ne]) / 2.0
-    assert split_at_mu(d, mu).n_occ == ne
+    assert int(np.sum(lam < mu)) == ne
     p2 = density_deriv_2(d, hb, hg, hx, mu)
-    ref = dk_second_order(
-        step_function(mu), d, d.to_eigenbasis(hb), d.to_eigenbasis(hg), d.to_eigenbasis(hx)
-    )
+    u_jet = jet_to_eigenbasis(d, {(1, 0): hb, (0, 1): hg, (1, 1): hx})
+    ref = dk_general(step_function(mu), d, u_jet, (1, 1))
     if ne in (0, n):
         assert not np.any(p2)
     assert frobenius(p2 - ref) <= 1e-10 * frobenius(ref)
@@ -240,11 +243,11 @@ def test_density_derivs_reject_mu_on_eigenvalue():
     h0 = rand_hermitian(rng, n)
     h1 = rand_hermitian(rng, n)
     d = hermitian_eig(h0)
-    mu_bad = float(d.eigenvalues[1])
-    with pytest.raises(TooCloseToMu):
-        density_deriv_1(d, h1, mu_bad)
-    with pytest.raises(TooCloseToMu):
-        density_deriv_2(d, h1, h1, h1, mu_bad)
+    for mu_bad in (float(d.eigenvalues[1]), float(d.eigenvalues[1]) + 1e-10):
+        with pytest.raises(TooCloseToMu):
+            density_deriv_1(d, h1, mu_bad)
+        with pytest.raises(TooCloseToMu):
+            density_deriv_2(d, h1, h1, h1, mu_bad)
 
 
 def test_density_deriv_requires_hermitian_direction():
