@@ -1,10 +1,24 @@
 """End-to-end command-line behavior: exit codes, CSV output, custom jets."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from matderiv import experiments, hermitian_eig, loads_matrix, write_matrix
 from matderiv.cli import main
 from matderiv.experiments import random_complex_matrix, random_hermitian
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import matderiv.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_subcommand_is_config_error(capsys):

@@ -3,7 +3,11 @@ import numpy as np
 import pytest
 
 from matderiv import (
+    IMAG,
     NotHermitian,
+    PathJet,
+    build_xk,
+    embed,
     SpectralDecomp,
     hermitian_eig,
     matrix_cos,
@@ -17,6 +21,7 @@ from matderiv.linalg import (
     hermitian_defect,
     require_hermitian,
 )
+from matderiv.multiindex import iter_sub_indices
 
 
 def rand_hermitian(rng, n):
@@ -104,6 +109,148 @@ def test_matrix_cos_matches_spectral_route():
     np.testing.assert_allclose(
         matrix_cos(a), (q * np.cos(d.eigenvalues)) @ q.conj().T, atol=1e-12
     )
+
+
+def rand_complex(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def rel_err(x, ref):
+    return np.linalg.norm(x - ref, 1) / np.linalg.norm(ref, 1)
+
+
+def degree_of(a):
+    """Pade degree and squaring count matrix_exp picks for ``a``."""
+    from matderiv.linalg import _degree
+
+    pw = np.linalg.matrix_power
+    return _degree(np.linalg.norm(pw(a, 4), 1), np.linalg.norm(pw(a, 6), 1))
+
+
+@pytest.mark.parametrize("a", [
+    np.arange(36.0).reshape(6, 6) / 20.0 - 0.9,
+    np.triu(np.arange(36.0).reshape(6, 6) - 10.0),  # triangular, squared 5+ times
+    np.diag([0.5, -2.0, 3.0]),
+])
+def test_matrix_cos_is_exp_pair_bitwise(a):
+    assert np.array_equal(matrix_cos(a), 0.5 * (matrix_exp(1j * a) + matrix_exp(-1j * a)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fn", [matrix_exp, matrix_cos])
+def test_matrix_functions_reject_non_finite_input(fn, bad):
+    a = np.eye(3, dtype=complex)
+    a[0, 2] = bad
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DomainError):
+        fn(a)
+
+
+@pytest.mark.parametrize("fn", [matrix_exp, matrix_cos])
+def test_matrix_functions_reject_overflowing_powers(fn):
+    a = np.array([[1e200, 1.0], [1.0, 0.0]])
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DomainError):
+        fn(a)
+
+
+@pytest.mark.parametrize("fn", [matrix_exp, matrix_cos])
+def test_matrix_functions_empty_input(fn):
+    assert fn(np.zeros((0, 0))).shape == (0, 0)
+
+
+def test_large_diagonal_overflows_exp_but_not_cos():
+    a = np.diag([800.0, 1.0])
+    with np.errstate(over="ignore"), pytest.raises(DomainError):
+        matrix_exp(a)
+    assert np.all(np.isfinite(matrix_cos(a)))
+
+
+def test_diagonal_input_is_exact_exp():
+    d = np.array([0.3 - 2.0j, -40.0, 7.5 + 1e-3j, 0.0])
+    assert np.array_equal(matrix_exp(np.diag(d)), np.diag(np.exp(d)))
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in (-30, -5, 12, 30 + 4j) for b in (1.0, 1e3)])
+def test_matrix_exp_toeplitz_block_exact(a, b):
+    t = np.array([[a, b, 0], [0, a, b], [0, 0, a]], dtype=complex)
+    want = np.exp(a) * np.array([[1, b, b * b / 2], [0, 1, b], [0, 0, 1]])
+    got = matrix_exp(t)
+    nz = want != 0
+    assert np.array_equal(got[~nz], want[~nz])
+    assert np.max(np.abs(got - want)[nz] / np.abs(want[nz])) <= 2e-15
+    assert np.array_equal(matrix_exp(t.T), got.T)
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-3, 0.7, 40.0])
+def test_matrix_exp_bidiagonal_distinct_diagonal(gap):
+    # superdiagonal of exp([[a, t], [0, b]]) is t (e^b - e^a) / (b - a)
+    a, t = -30.0, 3.0
+    b = a + gap
+    gap = b - a  # exact: the gap the matrix really has
+    got = matrix_exp(np.array([[a, t], [0.0, b]]))
+    corner = t * np.exp(a) * np.expm1(gap) / gap
+    assert abs(got[0, 1] - corner) <= 2e-15 * abs(corner)
+    assert got[0, 0] == np.exp(a) and got[1, 1] == np.exp(b)
+
+
+def test_block_products_match_dense():
+    from matderiv.linalg import _block_edges, _mul, _solve
+
+    rng = np.random.default_rng(4)
+    nb, n = 6, 40
+    mask = np.kron(np.triu(np.ones((nb, nb))), np.ones((n, n)))
+    x, y = (mask * rand_complex(rng, nb * n) for _ in range(2))
+    edges = _block_edges(x)
+    assert edges == list(range(0, nb * n + 1, n))
+    assert _block_edges(rand_complex(rng, 100)) == [0, 100]
+    assert _block_edges(np.triu(rand_complex(rng, 100))) == [0, 32, 64, 100]
+    prod = _mul(x, y, edges)
+    assert np.array_equal(prod[mask == 0], np.zeros(int((mask == 0).sum())))
+    assert rel_err(prod, x @ y) <= 1e-14
+    q = 4.0 * np.eye(nb * n) + x / np.linalg.norm(x, 1)
+    assert rel_err(_solve(q, y, edges), np.linalg.solve(q, y)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 13])
+def test_matrix_exp_matches_scipy_each_degree(m):
+    sl = pytest.importorskip("scipy.linalg")
+    theta = {3: 1.5e-2, 5: 0.25, 7: 0.95, 9: 2.1, 13: 5.37}
+    lo = {3: 0.0, 5: 1.5e-2, 7: 0.25, 9: 0.95, 13: 2.1}
+    base = rand_complex(np.random.default_rng(m), 8)
+    pw = np.linalg.matrix_power
+    eta = max(np.linalg.norm(pw(base, 4), 1) ** 0.25, np.linalg.norm(pw(base, 6), 1) ** (1 / 6))
+    a = base * (0.5 * (lo[m] + theta[m]) / eta)
+    assert degree_of(a) == (m, 0)
+    assert rel_err(matrix_exp(a), sl.expm(a)) <= 1e-13
+    assert rel_err(matrix_cos(a), sl.cosm(a)) <= 1e-13
+
+
+def test_matrix_exp_matches_scipy_with_squaring():
+    sl = pytest.importorskip("scipy.linalg")
+    a = rand_complex(np.random.default_rng(50), 10)
+    a *= 50.0 / np.linalg.norm(a, 1)
+    assert degree_of(a)[1] > 0
+    assert rel_err(matrix_exp(a), sl.expm(a)) <= 1e-12
+    assert rel_err(matrix_cos(a), sl.cosm(a)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize("alpha", [(2, 1), (3, 0)])
+def test_matrix_functions_match_scipy_on_embeddings(alpha, n):
+    sl = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(sum(alpha) * 10 + alpha[0] + n)
+    jet = PathJet(terms={t: rand_complex(rng, n) / n for t in iter_sub_indices(alpha)}, order=3)
+    x = build_xk(jet, [1] * alpha[0] + [2] * alpha[1])
+    assert rel_err(matrix_exp(x), sl.expm(x)) <= 1e-13
+    assert rel_err(matrix_cos(x), sl.cosm(x)) <= 1e-13
+
+
+def test_matrix_exp_matches_scipy_on_step_embedding():
+    sl = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(8)
+    n, h = 20, 1e-8
+    x = embed({(0,): rand_complex(rng, n) / 4, (1,): h * rand_complex(rng, n)}, (IMAG,))
+    got = extract_block(matrix_exp(x), 0, 1, n)
+    assert rel_err(got, extract_block(sl.expm(x), 0, 1, n)) <= 1e-13
 
 
 def test_assemble_extract_round_trip_exact():
