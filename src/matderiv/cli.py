@@ -39,6 +39,10 @@ _GRID_DEFAULTS = {
     "custom": dict(n=3, h_max=None, h_min=1e-8, points=15),
 }
 
+# density-demo needs a level on each side of mu: with one level, mu has no gap
+# to sit in and every density derivative it checks is zero
+_MIN_N = {"density-demo": 2}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; the contract here wants 1."""
@@ -110,9 +114,13 @@ def _parse_index(text: str) -> tuple[int, ...]:
 def _config(args: argparse.Namespace) -> ExperimentConfig:
     defaults = _GRID_DEFAULTS[args.command]
     h_max = args.h_max if args.h_max is not None else defaults["h_max"]
+    n = args.n if args.n is not None else defaults["n"]
+    min_n = _MIN_N.get(args.command, 1)
+    if n < min_n:
+        raise DimensionMismatch(f"{args.command} needs --n >= {min_n}, got {n}")
     return ExperimentConfig(
         seed=args.seed,
-        n=args.n if args.n is not None else defaults["n"],
+        n=n,
         h_max=h_max if h_max is not None else 1e-1,
         h_min=args.h_min if args.h_min is not None else defaults["h_min"],
         points=args.points if args.points is not None else defaults["points"],

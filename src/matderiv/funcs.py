@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InsufficientDerivatives
-from .linalg import as_matrix, matrix_cos, matrix_exp
+from .linalg import ShiftJet, as_matrix, matrix_cos, matrix_exp
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,9 @@ class MatrixFunction:
         return self.scalar.name
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
-        return self.apply(as_matrix(a))
+        # a ShiftJet is already a valid dense matrix; passing it on as is lets
+        # matrix_exp and matrix_cos evaluate it in its algebra
+        return self.apply(a if isinstance(a, ShiftJet) else as_matrix(a))
 
 
 def _exp_deriv(x: complex, order: int) -> complex:

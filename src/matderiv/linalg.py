@@ -7,23 +7,38 @@ numpy broadcasting accidents.
 
 ``matrix_exp`` is a numpy-only scaling-and-squaring Pade method after
 Al-Mohy & Higham, "A new scaling and squaring algorithm for the matrix
-exponential", SIAM J. Matrix Anal. Appl. 31 (2009):
+exponential", SIAM J. Matrix Anal. Appl. 31 (2009). It runs on elements
+X = sum_t C_t (x) u^t of the algebra of commuting nilpotent shifts
+u_1..u_L of sizes s_1..s_L (u_i^s_i = 0), stored as the stack of their
+coefficients. A plain matrix is the element with no shifts, so there is
+one evaluator:
 
+- A product is the truncated convolution (XY)_t = sum_{r <= t} X_r Y_{t-r}
+  (r <= t digitwise): prod s_i (s_i + 1) / 2 products of n x n blocks.
+  The dense image has b = prod s_i block rows, and a block upper
+  triangular product of it costs b (b + 1) (b + 2) / 6: 18 against 56 at
+  sizes (3, 2), 27 against 120 at (2, 2, 2).
 - X^2, X^4 and X^6 are formed, and d4 = ||X^4||_1^(1/4) and
   d6 = ||X^6||_1^(1/6) pick the degree m, the first of 3, 5, 7, 9 with
   max(d4, d6) <= theta_m. Otherwise m = 13, with
   s = ceil(log2(min(max(d4, d6), max(d4, d10)) / theta_13))_+ squarings,
   where d10 = (||X^4||_1 ||X^6||_1)^(1/10). The bounds d8 <= d4 and
   d10 stand in for the exact norms, so no X^8 or X^10 is formed. They
-  only over-estimate eta_5, so the backward error bound holds.
+  only over-estimate eta_5, so the backward error bound holds. ||.||_1 of
+  an element is that of its dense image, the largest column sum of
+  sum_t |C_t|, so m and s are the dense ones.
+- The Pade quotient (V - U)^-1 (V + U) is solved by forward substitution
+  over the total degree of t, one ``np.linalg.solve`` with the constant
+  coefficient per degree against the stacked right-hand sides.
 - Diagonal input, 1 x 1 included, gives the exact exp of its diagonal.
   For triangular input with s > 0, the diagonal and first superdiagonal
   are recomputed exactly after every squaring (Code Fragment 2.1).
-  Lower triangular input goes through its transpose.
+  Lower triangular input goes through its transpose. A ``ShiftJet`` whose
+  coefficients are all upper triangular (every 1 x 1 one among them) is
+  evaluated as its dense image, which is upper triangular, so it keeps
+  this rule.
 - The work runs in fixed buffers, written in place with ``out=``, and
-  squaring alternates two of them. When X is block upper triangular,
-  every product and the Pade solve skip its zero blocks below the
-  diagonal blocks (of at least ``_MIN_BLOCK`` rows).
+  squaring alternates two of them.
 - Non-finite input raises DomainError.
 
 ``matrix_cos`` evaluates exp(iA) and exp(-iA) together. They share X^2,
@@ -34,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,63 +159,126 @@ def _diag(x: np.ndarray, k: int = 0) -> np.ndarray:
 
 
 def _lincomb(out: np.ndarray, terms, const: float = 0.0) -> np.ndarray:
-    """``out = sum(c * m for c, m in terms) + const * I``, one temporary at a time."""
+    """``out = sum(c * m for c, m in terms) + const * I`` on coefficient stacks."""
     (c0, m0), *rest = terms
     np.multiply(m0, c0, out=out)
     for c, m in rest:
         out += c * m
     if const:
-        _diag(out)[:] += const
+        _diag(out[0])[:] += const
     return out
 
 
-# Diagonal blocks are merged up to this many rows: a smaller product saves
-# less BLAS time than the Python call it adds.
-_MIN_BLOCK = 32
+@lru_cache(maxsize=None)
+def _shift_table(sizes: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Product table of the algebra of shifts with sizes ``sizes``.
 
-
-def _block_edges(a: np.ndarray) -> list[int]:
-    """Edges of the diagonal blocks of ``a``'s block upper triangular form.
-
-    An edge at k needs ``a[k:, :k] == 0``. Sums, products and inverses keep
-    those zeros, so one partition serves every product and solve of
-    ``_expm``. Blocks are at least ``_MIN_BLOCK`` rows; ``[0, n]`` is dense.
+    A coefficient u^t sits at flat index sum_i t_i prod(sizes[:i]), shift 1
+    the innermost digit. Returns ``(pairs, levels)``: ``pairs[t]`` lists
+    every ``(r, t - r)`` with r <= t digitwise, r ascending, and
+    ``levels[d]`` the flat indices of total degree d. No sizes is the
+    algebra of plain matrices: ``(((0, 0),),), ((0,),)``.
     """
-    n = a.shape[0]
-    nz = a != 0
-    first = np.where(nz.any(axis=1), nz.argmax(axis=1), n)  # first nonzero column per row
-    low = np.minimum.accumulate(first[::-1])[::-1]  # low[k] = min(first[k:])
-    edges = [0]
-    for k in np.flatnonzero(low >= np.arange(n)).tolist():
-        if k - edges[-1] >= _MIN_BLOCK and n - k >= _MIN_BLOCK:
-            edges.append(k)
-    return edges + [n]
+    strides = [math.prod(sizes[:i]) for i in range(len(sizes))]
+    digits = [tuple(k // st % s for st, s in zip(strides, sizes)) for k in range(math.prod(sizes))]
+    pairs = tuple(tuple((r, t - r) for r, dr in enumerate(digits)
+                        if all(a <= b for a, b in zip(dr, dt)))
+                  for t, dt in enumerate(digits))
+    levels = tuple(tuple(t for t, dt in enumerate(digits) if sum(dt) == d)
+                   for d in range(sum(sizes) - len(sizes) + 1))
+    return pairs, levels
 
 
-def _mul(a: np.ndarray, b: np.ndarray, edges, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b`` for a, b block upper triangular along ``edges``.
+def _image(c: np.ndarray, pairs) -> np.ndarray:
+    """Dense matrix of the element with coefficients c: block (r, t) is c[t - r].
 
-    Block (i, j) sums a_il b_lj over i <= l <= j only, one product per block.
+    It is the matrix of left multiplication by the element, so products and
+    functions of elements map to those of their images.
     """
+    nb, n = c.shape[:2]
+    if nb == 1:
+        return c[0]
+    x = np.zeros((nb, n, nb, n), dtype=c.dtype)
+    for t, terms in enumerate(pairs):
+        for r, q in terms:
+            x[r, :, t] = c[q]
+    return x.reshape(nb * n, nb * n)
+
+
+class ShiftJet(np.ndarray):
+    """X = sum_t C_t (x) u^t over nilpotent shifts, as its dense image.
+
+    ``ShiftJet(coeffs, sizes)`` equals ``blocktri.embed(coeffs, sizes)``
+    for shift sizes; a missing coefficient is zero. The array is read-only,
+    so the matrix cannot drift from the coefficients it keeps, stacked by
+    flat index (see ``_shift_table``), in ``coeffs``. ``matrix_exp`` and
+    ``matrix_cos`` evaluate X in the algebra from them; every other
+    function sees the dense matrix. Arrays derived from it (views,
+    products) carry no coefficients.
+    """
+
+    def __new__(cls, coeffs, sizes):
+        sizes = tuple(int(s) for s in sizes)
+        strides = [math.prod(sizes[:i]) for i in range(len(sizes))]
+        n = next(iter(coeffs.values())).shape[0]
+        stack = np.zeros((math.prod(sizes), n, n), dtype=np.complex128)
+        for t, c in coeffs.items():
+            stack[sum(d * st for d, st in zip(t, strides))] = c
+        stack.flags.writeable = False
+        x = _image(stack, _shift_table(sizes)[0]).view(cls)
+        x.coeffs, x.sizes = stack, sizes
+        x.flags.writeable = False
+        return x
+
+    def __array_finalize__(self, obj) -> None:
+        self.coeffs, self.sizes = None, ()
+
+
+def _element(a) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Coefficient stack and shift sizes to evaluate ``a`` on.
+
+    A ShiftJet whose coefficients are all upper triangular goes in as its
+    dense image, which is then upper triangular, so that the exact band
+    rule of ``_expm`` applies to it.
+    """
+    coeffs = getattr(a, "coeffs", None)
+    if isinstance(a, ShiftJet) and coeffs is not None and np.tril(coeffs, -1).any():
+        return coeffs, a.sizes
+    return as_matrix(a)[None], ()
+
+
+def _norm1(c: np.ndarray) -> float:
+    """1-norm of the element's dense image: its last block column holds every c[t] once."""
+    return float(np.linalg.norm(np.abs(c).sum(axis=0), 1))
+
+
+def _mul(a: np.ndarray, b: np.ndarray, pairs, out: np.ndarray | None = None) -> np.ndarray:
+    """Product of two elements: ``out[t] = sum a[r] b[t - r]`` over ``pairs[t]``."""
     if out is None:
         out = np.empty_like(a)
-    blocks = list(zip(edges, edges[1:]))
-    for i, (r0, r1) in enumerate(blocks):
-        out[r0:r1, :r0] = 0
-        for c0, c1 in blocks[i:]:
-            np.matmul(a[r0:r1, r0:c1], b[r0:c1, c0:c1], out=out[r0:r1, c0:c1])
+    for t, ((r0, q0), *rest) in enumerate(pairs):
+        np.matmul(a[r0], b[q0], out=out[t])
+        for r, q in rest:
+            out[t] += a[r] @ b[q]
     return out
 
 
-def _solve(q: np.ndarray, r: np.ndarray, edges) -> np.ndarray:
-    """``q^-1 r`` by block back substitution, q and r block upper triangular along ``edges``."""
-    if len(edges) == 2:
-        return np.linalg.solve(q, r)
-    y = np.zeros_like(r)
-    for r0, r1 in reversed(list(zip(edges, edges[1:]))):
-        rhs = r[r0:r1, r0:].copy()
-        rhs[:, r1 - r0:] -= q[r0:r1, r1:] @ y[r1:, r1:]
-        y[r0:r1, r0:] = np.linalg.solve(q[r0:r1, r0:r1], rhs)
+def _solve(q: np.ndarray, p: np.ndarray, table) -> np.ndarray:
+    """``q^-1 p`` in the algebra, by forward substitution over total degree.
+
+    y[t] = q[0]^-1 (p[t] - sum_{r > 0} q[r] y[t - r]), one solve with q[0]
+    per degree against that degree's stacked right-hand sides.
+    """
+    pairs, levels = table
+    n = q.shape[1]
+    y = np.empty_like(p)
+    for level in levels:
+        rhs = p[list(level)]
+        for j, t in enumerate(level):
+            for r, s in pairs[t][1:]:
+                rhs[j] -= q[r] @ y[s]
+        sol = np.linalg.solve(q[0], rhs.transpose(1, 0, 2).reshape(n, -1))
+        y[list(level)] = sol.reshape(n, len(level), n).transpose(1, 0, 2)
     return y
 
 
@@ -222,7 +301,7 @@ def _degree(n4: float, n6: float) -> tuple[int, int]:
     return 13, max(0, math.ceil(math.log2(eta5 / _THETA13)))
 
 
-def _pade(x, x2, x4, x6, m, edges):
+def _pade(x, x2, x4, x6, m, pairs):
     """Return ``(V + U, V - U)`` of the degree-m Pade approximant at ``x``.
 
     U is odd and V even in x. The power buffers x2, x4, x6 are overwritten.
@@ -230,20 +309,20 @@ def _pade(x, x2, x4, x6, m, edges):
     c = _PADE[m]
     if m == 13:
         w = _lincomb(np.empty_like(x), [(c[13], x6), (c[11], x4), (c[9], x2)])
-        t = _mul(x6, w, edges)
+        t = _mul(x6, w, pairs)
         _lincomb(w, [(c[7], x6), (c[5], x4), (c[3], x2)], c[1])
         t += w
-        u = _mul(x, t, edges, out=w)
+        u = _mul(x, t, pairs, out=w)
         _lincomb(t, [(c[12], x6), (c[10], x4), (c[8], x2)])
         v_low = _lincomb(x2, [(c[2], x2), (c[4], x4), (c[6], x6)], c[0])
-        v = _mul(x6, t, edges, out=x4)
+        v = _mul(x6, t, pairs, out=x4)
         v += v_low
     else:
         powers = [x2, x4, x6][:m // 2]
         if m == 9:
-            powers.append(_mul(x4, x4, edges))
+            powers.append(_mul(x4, x4, pairs))
         w = _lincomb(np.empty_like(x), [(c[2 * j + 3], p) for j, p in enumerate(powers)], c[1])
-        u = _mul(x, w, edges)
+        u = _mul(x, w, pairs)
         v = _lincomb(w, [(c[2 * j + 2], p) for j, p in enumerate(powers)], c[0])
     q = np.subtract(v, u, out=x2)
     v += u
@@ -274,57 +353,78 @@ def _exact_band(r: np.ndarray, d: np.ndarray, sd: np.ndarray, scale: float) -> N
     _diag(r, 1)[:] = (sd * scale) * _exp_divdiff(ds[:-1], ds[1:])
 
 
-def _expm(a: np.ndarray, pair: bool = False) -> list[np.ndarray]:
-    """``[exp(a)]``, or ``[exp(a), exp(-a)]`` from one shared Pade evaluation."""
-    if not np.isfinite(a).all():
+def _scaling(c: np.ndarray, pairs):
+    """X^2, X^4, X^6 of the element c, and the Pade degree m and squarings s."""
+    x2 = _mul(c, c, pairs)
+    x4 = _mul(x2, x2, pairs)
+    x6 = _mul(x4, x2, pairs)
+    return x2, x4, x6, _degree(_norm1(x4), _norm1(x6))
+
+
+def _expm(c: np.ndarray, sizes: tuple[int, ...], pair: bool = False) -> list[np.ndarray]:
+    """``[exp(c)]``, or ``[exp(c), exp(-c)]`` from one shared Pade evaluation.
+
+    ``c`` is the coefficient stack of an element over shifts of ``sizes``;
+    the results are stacks too. A plain matrix is the stack of one.
+    """
+    if not np.isfinite(c).all():
         raise DomainError("matrix_exp: input has non-finite entries")
     signs = (1.0, -1.0) if pair else (1.0,)
-    upper = not np.tril(a, -1).any()
-    lower = not np.triu(a, 1).any()
-    if upper and lower:
-        return [np.diag(np.exp(sign * np.diagonal(a))) for sign in signs]
-    if lower:
-        return [np.ascontiguousarray(e.T) for e in _expm(np.ascontiguousarray(a.T), pair)]
-    edges = _block_edges(a)
-    x2 = _mul(a, a, edges)
-    x4 = _mul(x2, x2, edges)
-    x6 = _mul(x4, x2, edges)
-    m, s = _degree(np.linalg.norm(x4, 1), np.linalg.norm(x6, 1))
-    x = a
+    upper = lower = False
+    if not sizes:
+        a = c[0]
+        upper = not np.tril(a, -1).any()
+        lower = not np.triu(a, 1).any()
+        if upper and lower:
+            return [np.diag(np.exp(sign * np.diagonal(a)))[None] for sign in signs]
+        if lower:
+            return [np.ascontiguousarray(e[0].T)[None]
+                    for e in _expm(np.ascontiguousarray(a.T)[None], sizes, pair)]
+    table = _shift_table(sizes)
+    pairs = table[0]
+    x2, x4, x6, (m, s) = _scaling(c, pairs)
+    x = c
     if s:
-        x = a * 2.0 ** -s
+        x = c * 2.0 ** -s
         x2 *= 2.0 ** (-2 * s)
         x4 *= 2.0 ** (-4 * s)
         x6 *= 2.0 ** (-6 * s)
-    p, q = _pade(x, x2, x4, x6, m, edges)
+    p, q = _pade(x, x2, x4, x6, m, pairs)
     del x, x2, x4, x6  # release the Pade buffers that p and q do not hold before solving
-    results = [_solve(q, p, edges)]
+    results = [_solve(q, p, table)]
     if pair:
         # U(-X) = -U(X) exactly, so exp(-X)'s Pade quotient swaps the factors
-        results.append(_solve(p, q, edges))
-    d, sd = np.diagonal(a), np.diagonal(a, 1)
+        results.append(_solve(p, q, table))
+    d, sd = np.diagonal(c[0]), np.diagonal(c[0], 1)
     out = []
     for r, spare, sign in zip(results, (p, q), signs):
         if upper and s:
-            _exact_band(r, sign * d, sign * sd, 2.0 ** -s)
+            _exact_band(r[0], sign * d, sign * sd, 2.0 ** -s)
         for j in range(s - 1, -1, -1):
-            _mul(r, r, edges, out=spare)
+            _mul(r, r, pairs, out=spare)
             r, spare = spare, r
             if upper:
-                _exact_band(r, sign * d, sign * sd, 2.0 ** -j)
+                _exact_band(r[0], sign * d, sign * sd, 2.0 ** -j)
         out.append(r)
     return out
 
 
 def matrix_exp(a) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade)."""
-    return _require_finite(_expm(as_matrix(a))[0], "matrix_exp")
+    """Matrix exponential (scaling-and-squaring Pade).
+
+    A ShiftJet is evaluated in its algebra; the result is a dense matrix
+    either way.
+    """
+    c, sizes = _element(a)
+    e = _require_finite(_expm(c, sizes)[0], "matrix_exp")
+    return _image(e, _shift_table(sizes)[0])
 
 
 def matrix_cos(a) -> np.ndarray:
     """Matrix cosine ``(exp(iA) + exp(-iA)) / 2``, both from one Pade evaluation."""
-    e_pos, e_neg = _expm(1j * as_matrix(a), pair=True)
-    return _require_finite(0.5 * (e_pos + e_neg), "matrix_cos")
+    c, sizes = _element(a)
+    e_pos, e_neg = _expm(1j * c, sizes, pair=True)
+    return _image(_require_finite(0.5 * (e_pos + e_neg), "matrix_cos"), _shift_table(sizes)[0])
 
 
 def extract_block(x: np.ndarray, i: int, j: int, n: int) -> np.ndarray:

@@ -190,6 +190,60 @@ def test_frechet_sum_evaluates_each_distinct_splitting_once(alpha, evals, member
     assert frobenius(got - ref) <= 1e-12 * frobenius(ref)
 
 
+def test_frechet_sum_skips_splittings_of_unstored_terms():
+    # on a multilinear jet only (1,0),(1,0),(0,1) names stored terms; the
+    # other splittings of (2, 1) are zero and are not evaluated
+    rng = np.random.default_rng(24)
+    n = 5
+    jet = jet_from_directions(rand_complex(rng, n), [rand_complex(rng, n) for _ in range(2)])
+    exp = get_function("exp")
+    rows = []
+
+    def counting(x):
+        rows.append(x.shape[0])
+        return exp(x)
+
+    got = partial_via_frechet_sum(counting, jet, (2, 1))
+    assert rows == [6 * n]
+    ref = partial_via_blocktri(exp, jet, (2, 1))
+    assert frobenius(got - ref) <= 1e-12 * frobenius(ref)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("a", [-30, 30 + 4j])
+def test_scalar_toeplitz_jet_is_exact(a, k):
+    # every coefficient of an n = 1 jet is upper triangular, so the dense
+    # matrix is evaluated with the exact triangular rule: d^k/dx^k e^(a + bx) = b^k e^a
+    b = 0.75 - 0.5j
+    jet = PathJet(terms={(0,): np.array([[a]]), (1,): np.array([[b]])}, order=k,
+                  missing_is_zero=True)
+    got = partial_via_blocktri(get_function("exp"), jet, (k,))[0, 0]
+    want = b ** k * np.exp(a)
+    assert abs(got - want) <= 2e-15 * abs(want)
+
+
+@pytest.mark.parametrize("alpha,fact", [((1, 1), 1), ((2, 1), 2)])
+def test_other_callables_get_the_dense_matrix(alpha, fact):
+    rng = np.random.default_rng(25)
+    n = 3
+    jet = complete_jet(rng, n, alpha)
+    dense = build_xk(jet, alpha_to_dirs(alpha))
+    last = dense.shape[0] // n - 1
+    seen = []
+
+    def cube(x):
+        seen.append(isinstance(x, np.ndarray) and np.array_equal(x, dense))
+        return x @ x @ x
+
+    got = partial_via_blocktri(cube, jet, alpha)
+    assert seen == [True]
+    assert np.array_equal(got, fact * extract_block(dense @ dense @ dense, 0, last, n))
+    for name, p in (("x^2", 2), ("x^3", 3)):
+        ref = fact * extract_block(np.linalg.matrix_power(dense, p), 0, last, n)
+        got = partial_via_blocktri(get_function(name), jet, alpha)
+        assert frobenius(got - ref) <= 1e-14 * frobenius(ref)
+
+
 def test_build_xk_validates_input():
     jet = PathJet(terms={(0,): np.eye(2)}, order=1, missing_is_zero=True)
     with pytest.raises(EmptyIndex):

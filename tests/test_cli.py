@@ -90,6 +90,14 @@ def test_density_demo_passes(capsys):
     assert "occupied levels" in captured.err
 
 
+@pytest.mark.parametrize("extra", [[], ["--mu", "0.1"]], ids=["widest-gap", "mu"])
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_density_demo_needs_two_levels(capsys, extra, n):
+    assert main(["density-demo", "--n", n] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "--n >= 2" in err
+
+
 def test_density_demo_mu_on_eigenvalue(capsys):
     rng = np.random.default_rng(0)
     h0 = random_hermitian(rng, 6)

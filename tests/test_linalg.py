@@ -1,4 +1,6 @@
 """Dense-kernel tests: eigensolver wrapper, function backends, block helpers."""
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from matderiv import (
 )
 from matderiv.errors import DimensionMismatch, DomainError
 from matderiv.linalg import (
+    ShiftJet,
+    _scaling,
+    _shift_table,
     extract_block,
     frobenius,
     hermitian_defect,
@@ -192,24 +197,6 @@ def test_matrix_exp_bidiagonal_distinct_diagonal(gap):
     assert got[0, 0] == np.exp(a) and got[1, 1] == np.exp(b)
 
 
-def test_block_products_match_dense():
-    from matderiv.linalg import _block_edges, _mul, _solve
-
-    rng = np.random.default_rng(4)
-    nb, n = 6, 40
-    mask = np.kron(np.triu(np.ones((nb, nb))), np.ones((n, n)))
-    x, y = (mask * rand_complex(rng, nb * n) for _ in range(2))
-    edges = _block_edges(x)
-    assert edges == list(range(0, nb * n + 1, n))
-    assert _block_edges(rand_complex(rng, 100)) == [0, 100]
-    assert _block_edges(np.triu(rand_complex(rng, 100))) == [0, 32, 64, 100]
-    prod = _mul(x, y, edges)
-    assert np.array_equal(prod[mask == 0], np.zeros(int((mask == 0).sum())))
-    assert rel_err(prod, x @ y) <= 1e-14
-    q = 4.0 * np.eye(nb * n) + x / np.linalg.norm(x, 1)
-    assert rel_err(_solve(q, y, edges), np.linalg.solve(q, y)) <= 1e-14
-
-
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 13])
 def test_matrix_exp_matches_scipy_each_degree(m):
     sl = pytest.importorskip("scipy.linalg")
@@ -238,10 +225,63 @@ def test_matrix_exp_matches_scipy_with_squaring():
 def test_matrix_functions_match_scipy_on_embeddings(alpha, n):
     sl = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(sum(alpha) * 10 + alpha[0] + n)
-    jet = PathJet(terms={t: rand_complex(rng, n) / n for t in iter_sub_indices(alpha)}, order=3)
-    x = build_xk(jet, [1] * alpha[0] + [2] * alpha[1])
-    assert rel_err(matrix_exp(x), sl.expm(x)) <= 1e-13
-    assert rel_err(matrix_cos(x), sl.cosm(x)) <= 1e-13
+    coeffs = {t: rand_complex(rng, n) / n for t in iter_sub_indices(alpha)}
+    x = build_xk(PathJet(terms=coeffs, order=3), [1] * alpha[0] + [2] * alpha[1])
+    element = ShiftJet({t: c / np.prod([math.factorial(d) for d in t]) for t, c in coeffs.items()},
+                       [a + 1 for a in alpha])
+    assert np.array_equal(element, x)
+    for a in (x, element):
+        assert rel_err(matrix_exp(a), sl.expm(x)) <= 1e-13
+        assert rel_err(matrix_cos(a), sl.cosm(x)) <= 1e-13
+
+
+ALGEBRA_ALPHAS = [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (2, 2), (1, 1, 1)]
+
+
+def shift_element(rng, n, alpha, scale):
+    coeffs = {t: scale * rand_complex(rng, n) / n for t in iter_sub_indices(alpha)}
+    return coeffs, [a + 1 for a in alpha]
+
+
+def test_shift_jet_is_embed_matrix():
+    rng = np.random.default_rng(30)
+    coeffs, sizes = shift_element(rng, 3, (2, 1), 1.0)
+    del coeffs[(1, 1)]  # a missing coefficient is zero, as in embed
+    x = ShiftJet(coeffs, sizes)
+    assert isinstance(x, np.ndarray) and np.array_equal(x, embed(coeffs, sizes))
+    assert not x.flags.writeable
+    assert (x @ x).coeffs is None and x.T.coeffs is None  # derived arrays are plain matrices
+
+
+@pytest.mark.parametrize("n", [3, 20])
+@pytest.mark.parametrize("alpha", ALGEBRA_ALPHAS)
+@pytest.mark.parametrize("scale", [0.5, 8.0])
+def test_algebra_matches_dense_image(alpha, n, scale):
+    rng = np.random.default_rng(31 + n)
+    x = ShiftJet(*shift_element(rng, n, alpha, scale))
+    dense = np.array(x)
+    assert _scaling(x.coeffs, _shift_table(x.sizes)[0])[3] == degree_of(dense)
+    assert rel_err(matrix_exp(x), matrix_exp(dense)) <= 1e-13
+    assert rel_err(matrix_cos(x), matrix_cos(dense)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [(2, 1), (3, 0), (1, 1, 1)])
+def test_algebra_matches_scipy(alpha):
+    sl = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(32)
+    x = ShiftJet(*shift_element(rng, 40, alpha, 30.0))
+    assert _scaling(x.coeffs, _shift_table(x.sizes)[0])[3][1] > 0
+    assert rel_err(matrix_exp(x), sl.expm(np.array(x))) <= 1e-13
+    assert rel_err(matrix_cos(x), sl.cosm(np.array(x))) <= 1e-13
+
+
+def test_matrix_cos_of_element_is_exp_pair_bitwise():
+    rng = np.random.default_rng(33)
+    coeffs, sizes = shift_element(rng, 5, (2, 1), 4.0)
+    pos = ShiftJet({t: 1j * c for t, c in coeffs.items()}, sizes)
+    neg = ShiftJet({t: -1j * c for t, c in coeffs.items()}, sizes)
+    assert np.array_equal(matrix_cos(ShiftJet(coeffs, sizes)),
+                          0.5 * (matrix_exp(pos) + matrix_exp(neg)))
 
 
 def test_matrix_exp_matches_scipy_on_step_embedding():
