@@ -4,7 +4,7 @@ Four cross-validating routes to the same mixed partial derivative of
 f(A(x)): a block upper triangular embedding evaluated once, a partition
 sum of multilinear directional derivatives, eigenbasis divided-difference
 formulas for Hermitian base points, and block complex-step approximations.
-On top of those, closed-form derivatives of density matrices and
+On top of those, derivatives of density matrices at any order and of
 ground-state eigenvectors for Hermitian pencils.
 """
 from .blocktri import (
@@ -73,6 +73,7 @@ from .qperturb import (
     density_deriv_1,
     density_deriv_2,
     density_matrix,
+    density_response,
     eigvec_correction_1,
     eigvec_correction_2,
     step_function,

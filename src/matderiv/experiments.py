@@ -374,8 +374,8 @@ def run_density_demo(config: ExperimentConfig, mu: float | None = None) -> Densi
     """Exercise the density and ground-state derivatives on a random pencil.
 
     Produces residuals for the projector-derivative identities, agreement
-    between the closed-form and generic spectral routes, and agreement with
-    plain recomputation-based difference oracles.
+    between the density-response recursion and the generic spectral route,
+    and agreement with plain recomputation-based difference oracles.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n
@@ -393,10 +393,12 @@ def run_density_demo(config: ExperimentConfig, mu: float | None = None) -> Densi
     p1_g = density_deriv_1(d, h_g, mu)
     p2 = density_deriv_2(d, h_b, h_g, h_x, mu)
 
-    # the generic route at any n: n^3 can exceed the default cost cap
-    u_b = d.to_eigenbasis(h_b)
+    # the generic route at any n (n^3 can exceed the default cost cap), on
+    # rotations made here, so that it shares nothing with d's rotation cache
+    q = d.vectors
+    u_b, u_g, u_x = (q.conj().T @ h @ q for h in (h_b, h_g, h_x))
     p1_dk = dk_general(step, d, {(1,): u_b}, (1,), cost_cap=math.inf)
-    u_jet = {(1, 0): u_b, (0, 1): d.to_eigenbasis(h_g), (1, 1): d.to_eigenbasis(h_x)}
+    u_jet = {(1, 0): u_b, (0, 1): u_g, (1, 1): u_x}
     p2_dk = dk_general(step, d, u_jet, (1, 1), cost_cap=math.inf)
 
     eps = 1e-5

@@ -48,7 +48,8 @@ the same two factors. Only the squarings are done twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -97,24 +98,70 @@ class SpectralDecomp:
 
     ``eigenvalues`` is real and ascending; column ``vectors[:, i]`` belongs
     to ``eigenvalues[i]``.
+
+    ``to_eigenbasis`` rotates each distinct ndarray once per decomposition.
+    Its cache is keyed by ``id()`` and holds a copy of the input and the
+    rotation. A hit needs the same object with content equal to the copy,
+    so an array mutated in place is rotated again. The input is held by weak
+    reference: its entry goes when the caller drops the array. Inputs that
+    cannot be weakly referenced, such as lists, are rotated on every call.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
+    # id(m) -> (weak reference to m, copy of m, rotation)
+    _rotations: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
-        """Return ``Q^H m Q``."""
-        q = self.vectors
-        return q.conj().T @ as_matrix(m, "m") @ q
+    def _operand(self, m) -> np.ndarray:
+        """``m`` as a complex matrix of this decomposition's size."""
+        a = as_matrix(m, "m")
+        if a.shape[0] != self.dim:
+            raise DimensionMismatch(
+                f"matrix of shape {a.shape} does not match the {self.dim} x {self.dim} decomposition"
+            )
+        return a
 
-    def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
+    def to_eigenbasis(self, m) -> np.ndarray:
+        """Return ``Q^H m Q``, read-only."""
+        key = id(m)
+        entry = self._rotations.get(key)
+        if entry is not None and entry[0]() is m and np.array_equal(m, entry[1]):
+            return entry[2]
+        a = self._operand(m)
+        q = self.vectors
+        rotated = q.conj().T @ a @ q
+        rotated.flags.writeable = False
+        if isinstance(m, np.ndarray):
+            owner = weakref.ref(self)
+
+            def forget(ref, key=key):
+                d = owner()
+                if d is not None and d._rotations.get(key, (None,))[0] is ref:
+                    del d._rotations[key]
+
+            self._rotations[key] = (weakref.ref(m, forget), np.array(m), rotated)
+        return rotated
+
+    def to_eigenbasis_block(self, m, rows: slice, cols: slice) -> np.ndarray:
+        """Return block ``(rows, cols)`` of ``Q^H m Q``, uncached.
+
+        The two products start from the narrower side, so an ne x (n - ne)
+        block costs n^2 min(ne, n - ne) + ne (n - ne) n multiply-adds.
+        """
+        a = self._operand(m)
+        left, right = self.vectors[:, rows].conj().T, self.vectors[:, cols]
+        if left.shape[0] <= right.shape[1]:
+            return (left @ a) @ right
+        return left @ (a @ right)
+
+    def from_eigenbasis(self, m) -> np.ndarray:
         """Return ``Q m Q^H``."""
         q = self.vectors
-        return q @ as_matrix(m, "m") @ q.conj().T
+        return q @ self._operand(m) @ q.conj().T
 
 
 def hermitian_eig(a) -> SpectralDecomp:

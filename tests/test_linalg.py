@@ -76,6 +76,25 @@ def test_to_from_eigenbasis_round_trip():
     )
 
 
+def test_to_eigenbasis_rotates_each_array_once():
+    rng = np.random.default_rng(4)
+    d = hermitian_eig(rand_hermitian(rng, 5))
+    m = rand_hermitian(rng, 5)
+    u = d.to_eigenbasis(m)
+    assert d.to_eigenbasis(m) is u
+    assert not u.flags.writeable
+    np.testing.assert_array_equal(d.to_eigenbasis(m.tolist()), u)
+    assert d.to_eigenbasis(m.tolist()) is not d.to_eigenbasis(m.tolist())
+
+
+def test_eigenbasis_rotations_check_size():
+    d = hermitian_eig(np.diag([1.0, 2.0, 3.0, 4.0]))
+    for call in (d.to_eigenbasis, d.from_eigenbasis,
+                 lambda m: d.to_eigenbasis_block(m, slice(0, 2), slice(2, None))):
+        with pytest.raises(DimensionMismatch):
+            call(np.eye(3))
+
+
 def test_matrix_exp_diagonal():
     out = matrix_exp(np.diag([1.0, -1.0]))
     np.testing.assert_allclose(out, np.diag([np.e, 1.0 / np.e]), rtol=1e-14)

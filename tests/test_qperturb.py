@@ -1,4 +1,8 @@
 """Spectral-projector derivatives and ground-state corrections."""
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from matderiv import (
     density_deriv_1,
     density_deriv_2,
     density_matrix,
+    density_response,
     divided_difference,
     dk_general,
     eigvec_correction_1,
@@ -16,6 +21,7 @@ from matderiv import (
 )
 from matderiv.errors import (
     DegenerateGroundState,
+    DimensionMismatch,
     DomainError,
     NotHermitian,
     TooCloseToMu,
@@ -237,6 +243,105 @@ def test_density_deriv_2_matches_dk_at_every_occupation(ne):
     assert frobenius(p2 - ref) <= 1e-10 * frobenius(ref)
 
 
+ORDERS = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (2, 2), (4,)]
+
+
+@pytest.mark.parametrize("ne", [0, 1, 4, 8, 9])
+@pytest.mark.parametrize("alpha", ORDERS, ids=lambda a: "alpha" + "".join(map(str, a)))
+def test_density_response_matches_dk_at_every_order(alpha, ne):
+    rng = np.random.default_rng(21)
+    n = 9
+    d = hermitian_eig(rand_hermitian(rng, n))
+    lam = d.eigenvalues
+    if ne == 0:
+        mu = float(lam[0]) - 1.0
+    elif ne == n:
+        mu = float(lam[-1]) + 1.0
+    else:
+        mu = float(lam[ne - 1] + lam[ne]) / 2.0
+    terms = {t: rand_hermitian(rng, n) for t in np.ndindex(*(a + 1 for a in alpha)) if any(t)}
+    got = density_response(d, terms, alpha, mu)
+    ref = dk_general(step_function(mu), d, jet_to_eigenbasis(d, terms), alpha, cost_cap=math.inf)
+    if ne in (0, n):
+        assert not np.any(got)
+    assert frobenius(got - ref) <= 1e-12 * frobenius(ref)
+
+
+def test_density_response_absent_terms_are_zero():
+    rng = np.random.default_rng(22)
+    n = 6
+    d = hermitian_eig(rand_hermitian(rng, n))
+    mu = widest_gap_mu(d.eigenvalues)
+    h1 = rand_hermitian(rng, n)
+    z = np.zeros((n, n))
+    got = density_response(d, {(1,): h1}, (3,), mu)
+    ref = density_response(d, {(1,): h1, (2,): z, (3,): z}, (3,), mu)
+    assert frobenius(got - ref) <= 1e-15 * frobenius(ref)
+    with pytest.raises(DimensionMismatch):
+        density_response(d, {(1, 0): h1}, (2,), mu)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("entry", [
+    "density_deriv_1", "density_deriv_2_split", "density_deriv_2_cross", "density_response",
+    "eigvec_correction_1", "eigvec_correction_2",
+])
+def test_direction_of_wrong_size_is_dimension_mismatch(entry, n):
+    d = hermitian_eig(np.diag(np.arange(n, dtype=float)))
+    mu = n - 0.5
+    good, bad = np.eye(n), np.eye(n + 1)
+    calls = {
+        "density_deriv_1": lambda: density_deriv_1(d, bad, mu),
+        "density_deriv_2_split": lambda: density_deriv_2(d, good, bad, good, mu),
+        "density_deriv_2_cross": lambda: density_deriv_2(d, good, good, bad, mu),
+        "density_response": lambda: density_response(d, {(1,): good, (2,): bad}, (2,), mu),
+        "eigvec_correction_1": lambda: eigvec_correction_1(d, bad),
+        "eigvec_correction_2": lambda: eigvec_correction_2(d, bad),
+    }
+    with pytest.raises(DimensionMismatch):
+        calls[entry]()
+
+
+def test_direction_mutated_in_place_is_rotated_again():
+    rng = np.random.default_rng(23)
+    n = 6
+    h0, h1, h2 = (rand_hermitian(rng, n) for _ in range(3))
+    d = hermitian_eig(h0)
+    mu = widest_gap_mu(d.eigenvalues)
+    before = density_deriv_2(d, h1, h2, h1, mu)
+    h1 += rand_hermitian(rng, n)
+    after = density_deriv_2(d, h1, h2, h1, mu)
+    fresh = density_deriv_2(hermitian_eig(h0), h1.copy(), h2.copy(), h1.copy(), mu)
+    assert frobenius(after - before) > 1e-3 * frobenius(before)
+    assert frobenius(after - fresh) <= 1e-14 * frobenius(fresh)
+
+
+def test_direction_mutated_to_non_hermitian_still_raises():
+    rng = np.random.default_rng(24)
+    n = 5
+    d = hermitian_eig(rand_hermitian(rng, n))
+    mu = widest_gap_mu(d.eigenvalues)
+    h1 = rand_hermitian(rng, n)
+    density_deriv_1(d, h1, mu)
+    h1[0, 1] += 1.0
+    with pytest.raises(NotHermitian):
+        density_deriv_1(d, h1, mu)
+
+
+def test_decomposition_does_not_keep_directions_alive():
+    rng = np.random.default_rng(25)
+    n = 5
+    d = hermitian_eig(rand_hermitian(rng, n))
+    mu = widest_gap_mu(d.eigenvalues)
+    h1 = rand_hermitian(rng, n)
+    density_deriv_1(d, h1, mu)
+    released = weakref.ref(h1)
+    del h1
+    gc.collect()
+    assert released() is None
+    assert not d._rotations
+
+
 def test_density_derivs_reject_mu_on_eigenvalue():
     rng = np.random.default_rng(8)
     n = 4
@@ -259,6 +364,26 @@ def test_density_deriv_requires_hermitian_direction():
     skew = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
     with pytest.raises(NotHermitian):
         density_deriv_1(d, skew, mu)
+
+
+def test_non_hermitian_direction_raises_before_band_and_gap_checks():
+    rng = np.random.default_rng(26)
+    n = 4
+    d = hermitian_eig(np.diag([0.0, 0.0, 1.0, 2.0]).astype(complex))
+    h1 = rand_hermitian(rng, n)
+    skew = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    mu_bad = float(d.eigenvalues[2])
+    calls = (
+        lambda: density_deriv_1(d, skew, mu_bad),
+        lambda: density_deriv_2(d, h1, skew, h1, mu_bad),
+        lambda: density_deriv_2(d, h1, h1, skew, mu_bad),
+        lambda: density_response(d, {(3,): skew}, (3,), mu_bad),
+        lambda: eigvec_correction_1(d, skew),
+        lambda: eigvec_correction_2(d, skew),
+    )
+    for call in calls:
+        with pytest.raises(NotHermitian):
+            call()
 
 
 def test_eigvec_correction_1_zero_perturbation():
