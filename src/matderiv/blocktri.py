@@ -24,6 +24,7 @@ exact. Every other callable sees the dense matrix ``build_xk`` returns.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -42,7 +43,6 @@ from .linalg import ShiftJet, as_matrix, extract_block
 from .multiindex import (
     MultiIndex,
     as_index,
-    iter_sub_indices,
     order,
     resolve_request,
     s_partitions,
@@ -169,8 +169,16 @@ def _factorial(alpha: Sequence[int]) -> int:
     return math.prod(math.factorial(v) for v in alpha)
 
 
-def _xk_coeffs(jet: PathJet, dirs: Sequence[int]) -> tuple[dict, list[int]]:
-    """Coefficients and shift sizes of the embedding ``build_xk`` describes."""
+def _jet_coeffs(
+    jet: PathJet, dirs: Sequence[int], stepped: int = 0, h: float = 1.0
+) -> tuple[dict, list[int]]:
+    """Coefficients and units of the embedding of ``jet`` along ``dirs``.
+
+    Exact copies, all but the last ``stepped``, share one shift of size
+    a + 1 per variable (a its count), the inner digits; each stepped copy
+    gets an outer IMAG unit. Shift digits s and imaginary digit set S
+    carry h^|S| A_{s+t(S)} / s!.
+    """
     dirs = tuple(int(d) for d in dirs)
     k = len(dirs)
     if k < 1:
@@ -180,18 +188,35 @@ def _xk_coeffs(jet: PathJet, dirs: Sequence[int]) -> tuple[dict, list[int]]:
     for d in dirs:
         if not 1 <= d <= jet.nvars:
             raise DimensionMismatch(f"direction {d} out of range 1..{jet.nvars}")
-    variables = tuple(dict.fromkeys(dirs))
-    counts = tuple(dirs.count(v) for v in variables)
+    exact, steps = dirs[:k - stepped], dirs[k - stepped:]
+    variables = tuple(dict.fromkeys(exact))
+    counts = tuple(exact.count(v) for v in variables)
+    # first imaginary digit fastest: the order fd adds the coefficients in
+    subsets = [S[::-1] for S in itertools.product((0, 1), repeat=stepped)]
     coeffs = {}
-    for s in iter_sub_indices(counts):
-        t = [0] * jet.nvars
-        for v, d in zip(variables, s):
-            t[v - 1] = d
-        a = jet.term(tuple(t))
+    for s in itertools.product(*(range(c + 1) for c in counts)):
         w = _factorial(s)
-        # a complex divide by 1 can flip the sign of a zero, so skip it
-        coeffs[s] = a / w if w > 1 else a
-    return coeffs, [c + 1 for c in counts]
+        for S in subsets:
+            t = [0] * jet.nvars
+            for v, d in zip(variables + steps, s + S):
+                t[v - 1] += d
+            c = jet.term(tuple(t))
+            # a complex divide by 1 can flip the sign of a zero, so skip it
+            c = c / w if w > 1 else c
+            coeffs[s + S] = math.prod([h] * sum(S)) * c if any(S) else c
+    return coeffs, [c + 1 for c in counts] + [IMAG] * stepped
+
+
+def _corner(
+    f: MatrixCallable, jet: PathJet, dirs: Sequence[int], stepped: int = 0, h: float = 1.0
+) -> np.ndarray:
+    """a! times the top-right block of f of the embedding: the derivative times
+    h^stepped, up to O(h^2). Shifts alone go to f as a ``ShiftJet``."""
+    coeffs, units = _jet_coeffs(jet, dirs, stepped, h)
+    x = embed(coeffs, units) if stepped else ShiftJet(coeffs, units)
+    corner = extract_block(f(x), 0, x.shape[0] // jet.dim - 1, jet.dim)
+    w = _factorial([u - 1 for u in units if u != IMAG])
+    return corner * w if w > 1 else corner
 
 
 def build_xk(jet: PathJet, dirs: Sequence[int]) -> np.ndarray:
@@ -203,7 +228,7 @@ def build_xk(jet: PathJet, dirs: Sequence[int]) -> np.ndarray:
     jet term A_t / t!, so the result has prod(a + 1) n rows and f of it
     holds the derivative over alpha! in its top-right block.
     """
-    return embed(*_xk_coeffs(jet, dirs))
+    return embed(*_jet_coeffs(jet, dirs))
 
 
 def partial_via_blocktri(
@@ -219,11 +244,8 @@ def partial_via_blocktri(
     and ``matrix_cos`` evaluate it in the algebra of shifts and every
     other callable sees the dense matrix.
     """
-    a, d = resolve_request(alpha, dirs, jet.nvars)
-    x = ShiftJet(*_xk_coeffs(jet, d))
-    corner = extract_block(f(x), 0, len(x.coeffs) - 1, jet.dim)
-    w = _factorial(a)
-    return corner * w if w > 1 else corner
+    _, d = resolve_request(alpha, dirs, jet.nvars)
+    return _corner(f, jet, d)
 
 
 def frechet_via_blocktri(

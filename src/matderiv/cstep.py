@@ -1,24 +1,28 @@
-"""Complex-step style derivative approximations built from block embeddings.
+"""Stepped derivative approximations on blocktri's coefficient rule.
 
-A multicomplex number with units j_1, ..., j_L (each squaring to -1) is
-represented as a block matrix of its coefficients by ``blocktri.embed``;
-applying a matrix function to that representation and reading one block
-realizes high-order step derivatives without subtractive cancellation.
-The same builder with a nilpotent shift of size 2 inside one imaginary
-unit gives the hybrid scheme. Plain central differences and the classic
-imaginary-step trick are provided alongside as baselines.
+``blocktri._jet_coeffs`` gives each stepped copy of a direction its own
+imaginary unit (j^2 = -1) carrying h times its jet terms. cs steps every
+copy and hybrid only the last (|alpha| >= 2); both read the derivative
+off one f of the block matrix, with no subtractive cancellation, at any
+order. fd steps every copy and realises each unit as j = +1 and j = -1
+(the split-complex step), which is the central difference stencil; it
+stays at |alpha| <= 2, where its default step suits. A stepped result
+that is not finite raises DomainError. The classic imaginary step on
+real data is provided alongside as a baseline.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from typing import Callable
 
 import numpy as np
 
-from .blocktri import IMAG, PathJet, embed
-from .errors import DimensionMismatch, NotReal
-from .linalg import as_matrix, extract_block, frobenius
-from .multiindex import as_index, order, split_last
+from .blocktri import PathJet, _corner, _jet_coeffs, jet_from_directions
+from .errors import DimensionMismatch, DomainError, NotReal
+from .linalg import as_matrix, frobenius
+from .multiindex import as_index, order, resolve_request
 
 DEFAULT_H_FIRST = 1e-8
 DEFAULT_H_SECOND = 1e-5
@@ -28,101 +32,93 @@ REAL_IMAG_TOL = 1e-14
 MatrixCallable = Callable[[np.ndarray], np.ndarray]
 
 
-def _warn_if_step_underflows(h: float, scale: float) -> None:
-    tiny = float(np.finfo(np.float64).tiny)
-    if h * h <= tiny * max(scale, 1.0):
+def _over_step(top, h: float, k: int, base, scale: float = 1.0, stacklevel: int = 4) -> np.ndarray:
+    """``top / (scale h^k)``: warns when h^k falls below the normal floating
+    range at the scale of ``base``, and raises DomainError unless finite."""
+    norm = frobenius(base)
+    if abs(h) ** k <= float(np.finfo(np.float64).tiny) * max(norm, 1.0):
         warnings.warn(
-            f"step {h:.3e} squares below the normal floating range at scale {scale:.3e}; "
-            "results will be dominated by rounding",
+            f"step {h:.3e} to the power {k} falls below the normal floating range "
+            f"at scale {norm:.3e}; results will be dominated by rounding",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = top / (scale * math.prod([h] * k))
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"step {h:.3e} gave a non-finite derivative")
+    return out
 
 
-def cs_frechet_1(
-    f: MatrixCallable, a0, e1, h: float = DEFAULT_H_FIRST
-) -> np.ndarray:
+def _block_step(f: MatrixCallable, jet: PathJet, alpha, h: float, stepped: int) -> np.ndarray:
+    """Derivative ``alpha`` from one f of the embedding stepping the last ``stepped`` copies."""
+    _, dirs = resolve_request(alpha, None, jet.nvars)
+    return _over_step(_corner(f, jet, dirs, stepped, h), h, stepped, jet.base)
+
+
+def _central_fd(f: MatrixCallable, jet: PathJet, alpha, h: float) -> np.ndarray:
+    """Derivative ``alpha`` from the 2^k sign corners of the all-stepped
+    coefficients, each imaginary unit realised as j = +1 and j = -1."""
+    a, dirs = resolve_request(alpha, None, jet.nvars)
+    k = len(dirs)
+    if k > 2:
+        raise DimensionMismatch(f"route fd supports |alpha| <= 2, got {a}")
+    coeffs, _ = _jet_coeffs(jet, dirs, k, h)
+    total = None
+    for signs in itertools.product((1, -1), repeat=k):
+        x = None
+        for digits, c in coeffs.items():
+            neg = math.prod(s for s, d in zip(signs, digits) if d) < 0
+            x = c if x is None else x - c if neg else x + c
+        fx = f(x)
+        total = fx if total is None else total - fx if math.prod(signs) < 0 else total + fx
+    return _over_step(total, h, k, jet.base, 2.0 ** k)
+
+
+def cs_frechet_1(f: MatrixCallable, a0, e1, h: float = DEFAULT_H_FIRST) -> np.ndarray:
     """First directional derivative by a one-level block step.
 
     Works for complex inputs, unlike the regular complex step: the step
     lives on a fresh unit, not on the matrix's own imaginary part.
     """
-    a0 = as_matrix(a0, "a0")
-    e1 = as_matrix(e1, "e1")
-    _warn_if_step_underflows(h, frobenius(a0))
-    x = embed({(0,): a0, (1,): h * e1}, (IMAG,))
-    return extract_block(f(x), 0, 1, a0.shape[0]) / h
+    return _block_step(f, jet_from_directions(a0, [e1]), (1,), h, 1)
 
 
-def _split_second_order(jet: PathJet, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    alpha = as_index(alpha)
-    if order(alpha) != 2:
-        raise DimensionMismatch(f"second-order scheme needs |alpha| = 2, got {alpha}")
-    beta, gamma = split_last(alpha)
-    return jet.base, jet.term(beta), jet.term(gamma), jet.term(alpha)
+def cs_partial_2(f: MatrixCallable, jet: PathJet, alpha, h: float = DEFAULT_H_SECOND) -> np.ndarray:
+    """Partial derivative ``alpha`` of any order by a multicomplex block step.
 
-
-def cs_partial_2(
-    f: MatrixCallable, jet: PathJet, alpha, h: float = DEFAULT_H_SECOND
-) -> np.ndarray:
-    """Second-order partial derivative by a two-level block step.
-
-    The jet's cross term rides on the product of both units so the chain
-    rule's path-curvature contribution is included. A repeated index
-    (e.g. alpha = (2, 0)) is handled by splitting it into two unit steps
-    in the same direction.
+    Every copy of the directions, repeated ones included, gets its own
+    imaginary unit; the jet's cross terms ride on the products of the
+    units, so the chain rule's path-curvature contributions are included.
     """
-    a0, a_beta, a_gamma, a_alpha = _split_second_order(jet, alpha)
-    _warn_if_step_underflows(h, frobenius(a0))
-    x = embed(
-        {(0, 0): a0, (1, 0): h * a_beta, (0, 1): h * a_gamma, (1, 1): h * h * a_alpha},
-        (IMAG, IMAG),
-    )
-    return extract_block(f(x), 0, 3, jet.dim) / (h * h)
+    return _block_step(f, jet, alpha, h, order(alpha))
 
 
 def hybrid_partial_2(
     f: MatrixCallable, jet: PathJet, alpha, h: float = DEFAULT_H_SECOND
 ) -> np.ndarray:
-    """Second-order partial derivative: exact triangular level inside one
-    block step level.
+    """Partial derivative ``alpha`` (|alpha| >= 2): exact shifts inside one step.
 
-    The inner nilpotent shift of size 2 differentiates exactly in the
-    first split direction; the outer imaginary unit steps in the second.
-    Only one factor of h appears, so the truncation behaves like a first
-    derivative's while computing a second derivative.
+    Nilpotent shifts differentiate exactly in every copy but the last, on
+    which the outer imaginary unit steps. Only one factor of h appears, so
+    the truncation behaves like a first derivative's.
     """
-    a0, a_beta, a_gamma, a_alpha = _split_second_order(jet, alpha)
-    _warn_if_step_underflows(h, frobenius(a0))
-    x = embed(
-        {(0, 0): a0, (1, 0): a_beta, (0, 1): h * a_gamma, (1, 1): h * a_alpha},
-        (2, IMAG),
-    )
-    return extract_block(f(x), 0, 3, jet.dim) / h
+    if order(alpha) < 2:
+        raise DimensionMismatch(f"route hybrid needs |alpha| >= 2, got {as_index(alpha)}")
+    return _block_step(f, jet, alpha, h, 1)
 
 
 def central_fd_1(f: MatrixCallable, a0, e1, h: float) -> np.ndarray:
     """Two-point central difference for a first directional derivative."""
-    a0 = as_matrix(a0, "a0")
-    e1 = as_matrix(e1, "e1")
-    _warn_if_step_underflows(h, frobenius(a0))
-    return (f(a0 + h * e1) - f(a0 - h * e1)) / (2.0 * h)
+    return _central_fd(f, jet_from_directions(a0, [e1]), (1,), h)
 
 
 def central_fd_2_mixed(f: MatrixCallable, jet: PathJet, h: float, alpha) -> np.ndarray:
-    """Four-point stencil for the second-order partial derivative ``alpha``.
-
-    Evaluates the second-order path surrogate at the four corners
-    (+-h, +-h); the cross term enters with the product of the two signs.
-    """
-    a0, a_beta, a_gamma, a_alpha = _split_second_order(jet, alpha)
-    _warn_if_step_underflows(h, frobenius(a0))
-    h2 = h * h
-    app = f(a0 + h * a_beta + h * a_gamma + h2 * a_alpha)
-    apm = f(a0 + h * a_beta - h * a_gamma - h2 * a_alpha)
-    amp = f(a0 - h * a_beta + h * a_gamma - h2 * a_alpha)
-    amm = f(a0 - h * a_beta - h * a_gamma + h2 * a_alpha)
-    return (app - apm - amp + amm) / (4.0 * h2)
+    """Four-point stencil for the second-order partial derivative ``alpha``:
+    the corners (+-h, +-h), the cross term signed by the product of both."""
+    if order(alpha) != 2:
+        raise DimensionMismatch(f"second-order stencil needs |alpha| = 2, got {as_index(alpha)}")
+    return _central_fd(f, jet, alpha, h)
 
 
 def regular_cs_1(
@@ -137,5 +133,4 @@ def regular_cs_1(
     e1 = as_matrix(e1, "e1")
     if np.max(np.abs(a0.imag)) > REAL_IMAG_TOL or np.max(np.abs(e1.imag)) > REAL_IMAG_TOL:
         raise NotReal("regular complex step requires real input matrices")
-    _warn_if_step_underflows(h, frobenius(a0))
-    return np.imag(f(a0.real + 1j * h * e1.real)) / h
+    return _over_step(np.imag(f(a0.real + 1j * h * e1.real)), h, 1, a0, stacklevel=3)

@@ -24,6 +24,7 @@ from .blocktri import (
 from .cstep import (
     DEFAULT_H_FIRST,
     DEFAULT_H_SECOND,
+    _central_fd,
     central_fd_1,
     central_fd_2_mixed,
     cs_frechet_1,
@@ -35,7 +36,7 @@ from .divdiff import dk_general, jet_to_eigenbasis
 from .errors import DimensionMismatch, ReferenceValidationFailed
 from .funcs import MatrixFunction, get_function
 from .linalg import hermitian_eig, spectral_norm
-from .multiindex import MultiIndex, alpha_to_dirs, as_index, iter_sub_indices, order, unit
+from .multiindex import as_index, iter_sub_indices, order
 from .qperturb import (
     density_deriv_1,
     density_deriv_2,
@@ -474,12 +475,6 @@ class CustomResult:
         return next(iter(self.results.values()))
 
 
-def _custom_step(alpha: MultiIndex, h: float | None) -> float:
-    if h is not None:
-        return h
-    return DEFAULT_H_FIRST if order(alpha) == 1 else DEFAULT_H_SECOND
-
-
 def compute_route(
     route: str,
     f: MatrixFunction,
@@ -489,11 +484,12 @@ def compute_route(
 ) -> np.ndarray:
     """Evaluate one derivative route on a jet.
 
-    The stepped routes (cs, hybrid, fd) support |alpha| in {1, 2}; the
-    exact and spectral routes take any order within the block limit.
+    The exact and spectral routes and cs take any order within the block
+    limit; hybrid needs |alpha| >= 2 and fd |alpha| <= 2. ``h`` is the
+    step of the stepped routes, by default 1e-8 at order 1 and 1e-5
+    above, and 1e-5 for fd.
     """
     alpha = as_index(alpha)
-    m = order(alpha)
     if route == "blocktri":
         return partial_via_blocktri(f, jet, alpha)
     if route == "frechet_sum":
@@ -503,26 +499,11 @@ def compute_route(
         # every nonzero t <= alpha is a part of some splitting of alpha
         needed = {t: jet.term(t) for t in iter_sub_indices(alpha) if any(t)}
         return dk_general(f.scalar, d, jet_to_eigenbasis(d, needed), alpha)
-    if route == "cs":
-        hs = _custom_step(alpha, h)
-        if m == 1:
-            (v,) = alpha_to_dirs(alpha)
-            return cs_frechet_1(f, jet.base, jet.term(unit(jet.nvars, v)), hs)
-        if m == 2:
-            return cs_partial_2(f, jet, alpha, hs)
-        raise DimensionMismatch(f"route cs supports |alpha| <= 2, got {alpha}")
-    if route == "hybrid":
-        if m != 2:
-            raise DimensionMismatch(f"route hybrid needs |alpha| = 2, got {alpha}")
-        return hybrid_partial_2(f, jet, alpha, _custom_step(alpha, h))
-    if route == "fd":
-        hs = h if h is not None else 1e-5
-        if m == 1:
-            (v,) = alpha_to_dirs(alpha)
-            return central_fd_1(f, jet.base, jet.term(unit(jet.nvars, v)), hs)
-        if m == 2:
-            return central_fd_2_mixed(f, jet, hs, alpha)
-        raise DimensionMismatch(f"route fd supports |alpha| <= 2, got {alpha}")
+    steps = {"cs": cs_partial_2, "hybrid": hybrid_partial_2, "fd": _central_fd}
+    if route in steps:
+        if h is None:
+            h = DEFAULT_H_FIRST if route != "fd" and order(alpha) == 1 else DEFAULT_H_SECOND
+        return steps[route](f, jet, alpha, h)
     raise DimensionMismatch(f"unknown route {route!r}; choices: {CUSTOM_ROUTES}")
 
 

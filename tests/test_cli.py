@@ -288,3 +288,33 @@ def test_custom_missing_term_for_request_is_route_error(tmp_path, capsys):
     # a well-formed request the jet cannot serve fails in the route
     assert _custom_two_var(tmp_path, ("0,0", "1,0", "0,1"), "2,0") == 2
     assert "error" in capsys.readouterr().err
+
+
+def _custom_full_jet(tmp_path, alpha, extra):
+    """Run custom on a random jet holding every term up to ``alpha``."""
+    rng = np.random.default_rng(28)
+    args = ["custom", "--alpha", ",".join(map(str, alpha)), *extra]
+    for key in np.ndindex(*(a + 1 for a in alpha)):
+        path = tmp_path / f"t{'_'.join(map(str, key))}.txt"
+        write_matrix(path, random_complex_matrix(rng, 3))
+        args += ["--jet", f"{','.join(map(str, key))}={path}"]
+    return main(args)
+
+
+def test_custom_stepped_routes_above_order_two(tmp_path, capsys):
+    routes = ["--route", "blocktri", "--route", "cs", "--route", "hybrid"]
+    assert _custom_full_jet(tmp_path, (2, 1), routes) == 0
+    compare = [l for l in capsys.readouterr().err.splitlines() if l.startswith("compare,")]
+    assert len(compare) == 3
+    assert all(float(line.split(",")[3]) <= 1e-6 for line in compare)
+
+
+def test_custom_non_finite_step_is_route_error(tmp_path, capsys):
+    # h^2 underflows: the stepped quotient is not finite and is refused
+    # (--h-min only keeps the grid check satisfied; custom has no grid)
+    step = ["--route", "cs", "--h-max", "1e-170", "--h-min", "1e-200"]
+    with pytest.warns(RuntimeWarning, match="to the power 2"):
+        code = _custom_full_jet(tmp_path, (1, 1), step)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "non-finite" in err

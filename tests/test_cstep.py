@@ -1,4 +1,6 @@
 """Block step approximations: embeddings, sign patterns, convergence shapes."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from matderiv import (
     partial_via_blocktri,
     regular_cs_1,
 )
-from matderiv.errors import DimensionMismatch
+from matderiv.errors import DimensionMismatch, DomainError
 from matderiv.linalg import frobenius
 from matderiv.multiindex import iter_sub_indices
 
@@ -370,5 +372,102 @@ def test_conjugation_identity_for_exp():
 
 
 def test_underflow_warning():
-    with pytest.warns(RuntimeWarning):
-        cs_frechet_1(matrix_exp, np.eye(2), np.eye(2), 1e-170)
+    # h^k, k the number of stepped copies, leaves the normal range: the
+    # guard warns, and the quotient, no longer finite, raises
+    rng = np.random.default_rng(18)
+    for alpha, h in (((1, 1), 1e-160), ((3,), 1e-110)):
+        jet = complete_jet(rng, 2, alpha)
+        with pytest.warns(RuntimeWarning, match=f"to the power {sum(alpha)}"):
+            with pytest.raises(DomainError):
+                cs_partial_2(matrix_exp, jet, alpha, h)
+
+
+def test_order_one_step_does_not_warn_far_below_sqrt_tiny():
+    # one stepped copy divides by h, not h^2, so h = 1e-170 is still exact
+    ref = -np.sin(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (1e-170, 1e-300):
+            got = cs_frechet_1(matrix_cos, np.array([[1.0]]), np.array([[1.0]]), h)[0, 0]
+            assert abs((got - ref) / ref) <= 2e-15
+
+
+@pytest.mark.parametrize("scheme,h", [
+    ("cs1", 1e-310), ("cs2", 1e-160), ("cs2", 1e-170), ("hybrid", 1e-310), ("fd", 1e-170),
+])
+def test_non_finite_step_result_raises(scheme, h):
+    rng = np.random.default_rng(19)
+    jet = complete_jet(rng, 2, (1, 1))
+    run = {
+        "cs1": lambda: cs_frechet_1(matrix_exp, jet.base, jet.term((1, 0)), h),
+        "cs2": lambda: cs_partial_2(matrix_exp, jet, (1, 1), h),
+        "hybrid": lambda: hybrid_partial_2(matrix_exp, jet, (1, 1), h),
+        "fd": lambda: central_fd_2_mixed(matrix_exp, jet, h, (1, 1)),
+    }[scheme]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DomainError):
+            run()
+
+
+# cs and hybrid above order 2. Both truncate at O(h^2) relative to the
+# derivative, with a constant of a few on these jets (entries in
+# [-0.5, 0.5]); 100 h^2 bounds it at h = 1e-5. At h = 1e-8 the truncation
+# is below rounding and, with no subtraction, only rounding is left.
+HIGH_ORDER = ((2, 1), (3, 0), (1, 1, 1), (2, 2))
+
+
+@pytest.mark.parametrize("scheme", ["cs", "hybrid"])
+@pytest.mark.parametrize("alpha", HIGH_ORDER, ids=str)
+@pytest.mark.parametrize("n", [3, 20])
+def test_block_step_above_order_two_matches_blocktri(scheme, alpha, n):
+    rng = np.random.default_rng(20 + n)
+    jet = complete_jet(rng, n, alpha)
+    step = cs_partial_2 if scheme == "cs" else hybrid_partial_2
+    for fname in ("exp", "cos"):
+        f = get_function(fname)
+        ref = partial_via_blocktri(f, jet, alpha=alpha)
+        for h, bound in ((1e-5, 100 * 1e-5 ** 2), (1e-8, 1e-13)):
+            out = step(f, jet, alpha, h)
+            assert frobenius(out - ref) <= bound * frobenius(ref), (fname, h)
+
+
+def test_block_step_order_one_routes_agree_bitwise():
+    # cs_partial_2 at order 1 is the same embedding cs_frechet_1 builds
+    rng = np.random.default_rng(21)
+    jet = complete_jet(rng, 3, (1, 1))
+    for alpha in ((1, 0), (0, 1)):
+        np.testing.assert_array_equal(
+            cs_partial_2(matrix_exp, jet, alpha, 1e-8),
+            cs_frechet_1(matrix_exp, jet.base, jet.term(alpha), 1e-8),
+        )
+    with pytest.raises(DimensionMismatch):
+        hybrid_partial_2(matrix_exp, jet, (1, 0), 1e-5)
+
+
+def test_central_fd_is_the_sign_corner_stencil():
+    # the split-complex step reproduces the hand-written two-point and
+    # four-corner stencils bit for bit
+    rng = np.random.default_rng(22)
+    n = 3
+    terms = {t: rand_complex(rng, n) for t in iter_sub_indices((1, 1))}
+    terms[(2, 0)] = rand_complex(rng, n)
+    terms[(0, 2)] = rand_complex(rng, n)
+    jet = PathJet(terms=terms, order=2)
+    for fname in ("exp", "cos"):
+        f = get_function(fname)
+        for h in (1e-2, 1e-5):
+            a0, e1 = jet.base, jet.term((1, 0))
+            two = (f(a0 + h * e1) - f(a0 - h * e1)) / (2.0 * h)
+            np.testing.assert_array_equal(central_fd_1(f, a0, e1, h), two)
+            for alpha, beta, gamma in (((1, 1), (1, 0), (0, 1)),
+                                       ((2, 0), (1, 0), (1, 0)),
+                                       ((0, 2), (0, 1), (0, 1))):
+                ab, ag, ax = jet.term(beta), jet.term(gamma), jet.term(alpha)
+                h2 = h * h
+                app = f(a0 + h * ab + h * ag + h2 * ax)
+                apm = f(a0 + h * ab - h * ag - h2 * ax)
+                amp = f(a0 - h * ab + h * ag - h2 * ax)
+                amm = f(a0 - h * ab - h * ag + h2 * ax)
+                four = (app - apm - amp + amm) / (4.0 * h2)
+                np.testing.assert_array_equal(central_fd_2_mixed(f, jet, h, alpha), four)
