@@ -8,10 +8,7 @@ On top of those, derivatives of density matrices at any order and of
 ground-state eigenvectors for Hermitian pencils.
 """
 from .blocktri import (
-    IMAG,
     PathJet,
-    build_xk,
-    embed,
     frechet_via_blocktri,
     jet_from_directions,
     longest_path,
@@ -53,6 +50,7 @@ from .errors import (
 )
 from .funcs import FUNCTIONS, MatrixFunction, ScalarFunction, get_function
 from .linalg import (
+    IMAG,
     SpectralDecomp,
     hermitian_eig,
     matrix_cos,

@@ -1,26 +1,27 @@
 """Block upper triangular construction of matrix function derivatives.
 
-One builder, ``embed``, writes X = sum_t C_t (x) u^t over a product of
-units: a nilpotent shift of size s (u^s = 0) differentiates exactly, a
-2x2 imaginary unit (u^2 = -1) carries a complex-like step. Giving each
-variable of a derivative request one shift of size alpha_i + 1 turns
-differentiation into a single function evaluation on a matrix of
-prod(alpha_i + 1) n rows: the top-right block of ``f`` applied to the
-embedding is the requested derivative over alpha!. The same machinery
-evaluates multilinear directional derivatives, and a partition sum
-converts those back into mixed partial derivatives, giving two
-independent exact routes.
+Every block route builds its matrix as one ``linalg.ShiftJet``, which
+writes X = sum_t C_t (x) u^t over a product of units: a nilpotent shift
+of size s (u^s = 0) differentiates exactly, a 2x2 imaginary unit
+(``IMAG``, u^2 = -1) carries a complex-like step. ``_jet_coeffs`` is the
+one coefficient rule. Giving each variable of a derivative request one
+shift of size alpha_i + 1 turns differentiation into a single function
+evaluation on a matrix of prod(alpha_i + 1) n rows: the top-right block
+of ``f`` applied to the embedding is the requested derivative over
+alpha!. The same machinery evaluates multilinear directional
+derivatives, and a partition sum converts those back into mixed partial
+derivatives, giving two independent exact routes.
 
 The shifts commute, so f(X) lies in the same truncated polynomial
-algebra as X and is fixed by its coefficients. The exact routes hand f
-the embedding as a ``linalg.ShiftJet``, which ``matrix_exp`` and
-``matrix_cos`` evaluate on the coefficients: a product costs
-prod s_i (s_i + 1) / 2 n x n products, 18 at alpha = (2, 1) and 27 at
-(1, 1, 1), where a block upper triangular product of the dense matrix
-costs 56 and 120. A jet whose coefficients are all upper triangular
-(every n = 1 jet) is evaluated as its dense matrix, which is then upper
-triangular, so the exact triangular rule of ``matrix_exp`` keeps it
-exact. Every other callable sees the dense matrix ``build_xk`` returns.
+algebra as X and is fixed by its coefficients. ``matrix_exp`` and
+``matrix_cos`` evaluate an embedding of shifts alone on the
+coefficients: a product costs prod s_i (s_i + 1) / 2 n x n products, 18
+at alpha = (2, 1) and 27 at (1, 1, 1), where a block upper triangular
+product of the dense matrix costs 56 and 120. A jet whose coefficients
+are all upper triangular (every n = 1 jet) is evaluated as its dense
+matrix, which is then upper triangular, so the exact triangular rule of
+``matrix_exp`` keeps it exact. An embedding with an ``IMAG`` unit, and
+every other callable, sees the dense matrix.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .errors import (
     NotDag,
     OrderExceeded,
 )
-from .linalg import ShiftJet, as_matrix, extract_block
+from .linalg import IMAG, ShiftJet, as_matrix, extract_block
 from .multiindex import (
     MultiIndex,
     as_index,
@@ -50,7 +51,6 @@ from .multiindex import (
 )
 
 MAX_ORDER = 6
-IMAG = -1  # unit code for the 2x2 imaginary unit [[0, 1], [-1, 0]]
 
 MatrixCallable = Callable[[np.ndarray], np.ndarray]
 
@@ -128,43 +128,6 @@ def jet_from_directions(a0: np.ndarray, es: Sequence[np.ndarray]) -> PathJet:
     return PathJet(terms=terms, order=k, missing_is_zero=True)
 
 
-def embed(coeffs: Mapping[MultiIndex, np.ndarray], units: Sequence[int]) -> np.ndarray:
-    """Block matrix X = sum_t coeffs[t] (x) u_1^t_1 ... u_L^t_L.
-
-    ``units[i]`` is a size s >= 1, the nilpotent shift with ones on the
-    first superdiagonal (u^s = 0), or IMAG, the 2x2 unit with u^2 = -1.
-    Unit 1 is the innermost block digit. Block (r, c) carries the
-    coefficient whose digit is c_i - r_i on a shift and r_i xor c_i on an
-    imaginary unit, negated once per imaginary digit set in both t and r.
-    One imaginary unit with ``{(0,): a, (1,): b}`` gives ``[[a, b], [-b, a]]``.
-    """
-    if not coeffs:
-        raise DimensionMismatch("no coefficients given")
-    sizes = [2 if u == IMAG else int(u) for u in units]
-    if not sizes or min(sizes) < 1:
-        raise DimensionMismatch(f"units must be IMAG or positive sizes, got {tuple(units)}")
-    strides = [math.prod(sizes[:i]) for i in range(len(sizes))]
-    nb = math.prod(sizes)
-    n = next(iter(coeffs.values())).shape[0]
-    x = np.zeros((nb * n, nb * n), dtype=np.complex128)
-    for t, c in coeffs.items():
-        if len(t) != len(sizes) or any(not 0 <= d < s for d, s in zip(t, sizes)):
-            raise DimensionMismatch(f"coefficient {tuple(t)} out of range for units {tuple(units)}")
-        if c.shape != (n, n):
-            raise DimensionMismatch(f"coefficient {tuple(t)} has shape {c.shape}, expected ({n}, {n})")
-        places = [(0, 0, False)]  # (row block, column block, negated)
-        for d, u, s, st in zip(t, units, sizes, strides):
-            if u == IMAG:
-                digit = ((0, d * st, False), (st, (1 - d) * st, d == 1))
-            else:
-                digit = [(r * st, (r + d) * st, False) for r in range(s - d)]
-            places = [(r + dr, col + dc, neg != dn)
-                      for r, col, neg in places for dr, dc, dn in digit]
-        for r, col, neg in places:
-            x[r * n:(r + 1) * n, col * n:(col + 1) * n] = -c if neg else c
-    return x
-
-
 def _factorial(alpha: Sequence[int]) -> int:
     return math.prod(math.factorial(v) for v in alpha)
 
@@ -211,24 +174,11 @@ def _corner(
     f: MatrixCallable, jet: PathJet, dirs: Sequence[int], stepped: int = 0, h: float = 1.0
 ) -> np.ndarray:
     """a! times the top-right block of f of the embedding: the derivative times
-    h^stepped, up to O(h^2). Shifts alone go to f as a ``ShiftJet``."""
-    coeffs, units = _jet_coeffs(jet, dirs, stepped, h)
-    x = embed(coeffs, units) if stepped else ShiftJet(coeffs, units)
+    h^stepped, up to O(h^2)."""
+    x = ShiftJet(*_jet_coeffs(jet, dirs, stepped, h))
     corner = extract_block(f(x), 0, x.shape[0] // jet.dim - 1, jet.dim)
-    w = _factorial([u - 1 for u in units if u != IMAG])
+    w = _factorial([u - 1 for u in x.units if u != IMAG])
     return corner * w if w > 1 else corner
-
-
-def build_xk(jet: PathJet, dirs: Sequence[int]) -> np.ndarray:
-    """Block upper triangular embedding for the directions ``dirs``.
-
-    Each distinct variable in ``dirs``, in order of first appearance,
-    gets one nilpotent shift of size a + 1, a its count in ``dirs``; the
-    first is the innermost block digit. The coefficient of u^t is the
-    jet term A_t / t!, so the result has prod(a + 1) n rows and f of it
-    holds the derivative over alpha! in its top-right block.
-    """
-    return embed(*_jet_coeffs(jet, dirs))
 
 
 def partial_via_blocktri(
@@ -239,10 +189,10 @@ def partial_via_blocktri(
 ) -> np.ndarray:
     """Mixed partial derivative of f(A(x)) read off one block evaluation.
 
-    f gets ``build_xk``'s embedding as a ``ShiftJet``: the same dense
-    matrix, read-only, carrying its coefficients, so that ``matrix_exp``
-    and ``matrix_cos`` evaluate it in the algebra of shifts and every
-    other callable sees the dense matrix.
+    f gets the embedding as a ``ShiftJet``: the dense matrix, read-only,
+    carrying its coefficients, so that ``matrix_exp`` and ``matrix_cos``
+    evaluate it in the algebra of shifts and every other callable sees
+    the dense matrix.
     """
     _, d = resolve_request(alpha, dirs, jet.nvars)
     return _corner(f, jet, d)

@@ -9,6 +9,7 @@ residual check, 3 failed reference validation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -36,7 +37,7 @@ _GRID_DEFAULTS = {
     "fig1-complex": dict(n=1, h_max=1e-1, h_min=1e-13, points=25),
     "fig2": dict(n=3, h_max=1e-1, h_min=1e-8, points=15),
     "density-demo": dict(n=6, h_max=1e-1, h_min=1e-8, points=15),
-    "custom": dict(n=3, h_max=None, h_min=1e-8, points=15),
+    "custom": dict(n=3),
 }
 
 # density-demo needs a level on each side of mu: with one level, mu has no gap
@@ -113,15 +114,19 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
     defaults = _GRID_DEFAULTS[args.command]
-    h_max = args.h_max if args.h_max is not None else defaults["h_max"]
     n = args.n if args.n is not None else defaults["n"]
     min_n = _MIN_N.get(args.command, 1)
     if n < min_n:
         raise DimensionMismatch(f"{args.command} needs --n >= {min_n}, got {n}")
+    if args.command == "custom":
+        # no grid: --h-max is the stepped routes' one step; --h-min and --points are unused
+        if args.h_max is not None and not 0.0 < args.h_max < math.inf:
+            raise ValueError(f"custom needs a finite step --h-max > 0, got {args.h_max}")
+        return ExperimentConfig(seed=args.seed, n=n, deterministic=args.deterministic, out=args.out)
     return ExperimentConfig(
         seed=args.seed,
         n=n,
-        h_max=h_max if h_max is not None else 1e-1,
+        h_max=args.h_max if args.h_max is not None else defaults["h_max"],
         h_min=args.h_min if args.h_min is not None else defaults["h_min"],
         points=args.points if args.points is not None else defaults["points"],
         deterministic=args.deterministic,

@@ -1,14 +1,15 @@
 """Stepped derivative approximations on blocktri's coefficient rule.
 
 ``blocktri._jet_coeffs`` gives each stepped copy of a direction its own
-imaginary unit (j^2 = -1) carrying h times its jet terms. cs steps every
-copy and hybrid only the last (|alpha| >= 2); both read the derivative
-off one f of the block matrix, with no subtractive cancellation, at any
-order. fd steps every copy and realises each unit as j = +1 and j = -1
-(the split-complex step), which is the central difference stencil; it
-stays at |alpha| <= 2, where its default step suits. A stepped result
-that is not finite raises DomainError. The classic imaginary step on
-real data is provided alongside as a baseline.
+imaginary unit (j^2 = -1) carrying h times its jet terms, in the same
+``linalg.ShiftJet`` as the exact routes. cs steps every copy and hybrid
+only the last (|alpha| >= 2); both read the derivative off one f of the
+block matrix, with no subtractive cancellation, at any order. fd steps
+every copy and realises each unit as j = +1 and j = -1 (the split-complex
+step), which is the central difference stencil; it stays at
+|alpha| <= 2, where its default step suits. A stepped result that is not
+finite raises DomainError. The classic imaginary step on real data is
+provided alongside as a baseline.
 """
 from __future__ import annotations
 

@@ -5,6 +5,10 @@ All matrices are square numpy arrays promoted to complex128. Operations
 re-validate their inputs so failures surface as typed errors rather than
 numpy broadcasting accidents.
 
+``ShiftJet`` builds every block embedding X = sum_t C_t (x) u^t, each unit
+a nilpotent shift (u^s = 0) or ``IMAG`` (u^2 = -1); one signed product
+table gives both its dense image and products of coefficient stacks.
+
 ``matrix_exp`` is a numpy-only scaling-and-squaring Pade method after
 Al-Mohy & Higham, "A new scaling and squaring algorithm for the matrix
 exponential", SIAM J. Matrix Anal. Appl. 31 (2009). It runs on elements
@@ -36,7 +40,7 @@ one evaluator:
   Lower triangular input goes through its transpose. A ``ShiftJet`` whose
   coefficients are all upper triangular (every 1 x 1 one among them) is
   evaluated as its dense image, which is upper triangular, so it keeps
-  this rule.
+  this rule. So is one with an ``IMAG`` unit, which is not nilpotent.
 - The work runs in fixed buffers, written in place with ``out=``, and
   squaring alternates two of them.
 - Non-finite input raises DomainError.
@@ -62,6 +66,7 @@ from .errors import (
 )
 
 HERMITIAN_RTOL = 1e-12
+IMAG = -1  # unit code for the 2x2 imaginary unit [[0, 1], [-1, 0]]
 
 
 def as_matrix(a, name: str = "a") -> np.ndarray:
@@ -217,27 +222,38 @@ def _lincomb(out: np.ndarray, terms, const: float = 0.0) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _shift_table(sizes: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """Product table of the algebra of shifts with sizes ``sizes``.
+def _shift_table(units: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Signed product table of the algebra over ``units``.
 
-    A coefficient u^t sits at flat index sum_i t_i prod(sizes[:i]), shift 1
-    the innermost digit. Returns ``(pairs, levels)``: ``pairs[t]`` lists
-    every ``(r, t - r)`` with r <= t digitwise, r ascending, and
-    ``levels[d]`` the flat indices of total degree d. No sizes is the
-    algebra of plain matrices: ``(((0, 0),),), ((0,),)``.
+    Each unit is a shift size s >= 1 (u^s = 0) or IMAG (u^2 = -1), a digit
+    of size 2 that wraps around with -1. A coefficient u^t sits at flat
+    index sum_i t_i prod(sizes[:i]), unit 1 the innermost digit. Returns
+    ``(pairs, levels)``: ``pairs[t]`` lists every ``(r, q, neg)`` with
+    u^r u^q = (-1)^neg u^t, r ascending, so r = 0 comes first and is not
+    negated. On a shift digit q = t - r with r <= t; on an IMAG digit
+    q = r xor t, negated once per IMAG digit set in both r and q.
+    ``levels[d]`` holds the flat indices of total degree d. No units is
+    the algebra of plain matrices: ``(((0, 0, False),),), ((0,),)``.
     """
+    sizes = [2 if u == IMAG else u for u in units]
     strides = [math.prod(sizes[:i]) for i in range(len(sizes))]
     digits = [tuple(k // st % s for st, s in zip(strides, sizes)) for k in range(math.prod(sizes))]
-    pairs = tuple(tuple((r, t - r) for r, dr in enumerate(digits)
-                        if all(a <= b for a, b in zip(dr, dt)))
-                  for t, dt in enumerate(digits))
+
+    def factor(dr, dt):  # (q, neg) with u^r u^q = (-1)^neg u^t
+        q = [a ^ b if u == IMAG else b - a for u, a, b in zip(units, dr, dt)]
+        neg = sum(a & d for u, a, d in zip(units, dr, q) if u == IMAG) % 2 == 1
+        return sum(d * st for d, st in zip(q, strides)), neg
+
+    pairs = tuple(tuple((r, *factor(dr, dt)) for r, dr in enumerate(digits)
+                        if all(u == IMAG or a <= b for u, a, b in zip(units, dr, dt)))
+                  for dt in digits)
     levels = tuple(tuple(t for t, dt in enumerate(digits) if sum(dt) == d)
                    for d in range(sum(sizes) - len(sizes) + 1))
     return pairs, levels
 
 
 def _image(c: np.ndarray, pairs) -> np.ndarray:
-    """Dense matrix of the element with coefficients c: block (r, t) is c[t - r].
+    """Dense matrix of the element with coefficients c: block (r, t) is +-c[q].
 
     It is the matrix of left multiplication by the element, so products and
     functions of elements map to those of their images.
@@ -247,50 +263,65 @@ def _image(c: np.ndarray, pairs) -> np.ndarray:
         return c[0]
     x = np.zeros((nb, n, nb, n), dtype=c.dtype)
     for t, terms in enumerate(pairs):
-        for r, q in terms:
-            x[r, :, t] = c[q]
+        for r, q, neg in terms:
+            x[r, :, t] = -c[q] if neg else c[q]
     return x.reshape(nb * n, nb * n)
 
 
 class ShiftJet(np.ndarray):
-    """X = sum_t C_t (x) u^t over nilpotent shifts, as its dense image.
+    """X = sum_t C_t (x) u^t over shift and IMAG units, as its dense image.
 
-    ``ShiftJet(coeffs, sizes)`` equals ``blocktri.embed(coeffs, sizes)``
-    for shift sizes; a missing coefficient is zero. The array is read-only,
-    so the matrix cannot drift from the coefficients it keeps, stacked by
-    flat index (see ``_shift_table``), in ``coeffs``. ``matrix_exp`` and
-    ``matrix_cos`` evaluate X in the algebra from them; every other
-    function sees the dense matrix. Arrays derived from it (views,
-    products) carry no coefficients.
+    ``ShiftJet(coeffs, units)`` is the one builder of an embedding: an
+    IMAG unit is a size-2 shift that wraps around with -1, so one
+    imaginary unit with ``{(0,): a, (1,): b}`` gives ``[[a, b], [-b, a]]``.
+    A missing coefficient is zero. The array is read-only, so the matrix
+    cannot drift from the coefficients it keeps, stacked by flat index (see
+    ``_shift_table``), in ``coeffs``. ``matrix_exp`` and ``matrix_cos``
+    evaluate X in the algebra from them when no unit is IMAG; every other
+    case sees the dense matrix. Arrays derived from it (views, products)
+    carry no coefficients. A coefficient that does not fit the units or is
+    not n x n, or no coefficient at all, raises DimensionMismatch.
     """
 
-    def __new__(cls, coeffs, sizes):
-        sizes = tuple(int(s) for s in sizes)
+    def __new__(cls, coeffs, units):
+        units = tuple(int(u) for u in units)
+        if not coeffs:
+            raise DimensionMismatch("no coefficients given")
+        sizes = [2 if u == IMAG else u for u in units]
+        if min(sizes, default=1) < 1:
+            raise DimensionMismatch(f"units must be IMAG or positive sizes, got {units}")
         strides = [math.prod(sizes[:i]) for i in range(len(sizes))]
-        n = next(iter(coeffs.values())).shape[0]
+        shape = np.shape(next(iter(coeffs.values())))
+        n = shape[0] if shape else 0
         stack = np.zeros((math.prod(sizes), n, n), dtype=np.complex128)
         for t, c in coeffs.items():
+            if len(t) != len(sizes) or any(not 0 <= d < s for d, s in zip(t, sizes)):
+                raise DimensionMismatch(f"coefficient {tuple(t)} out of range for units {units}")
+            if np.shape(c) != (n, n):
+                raise DimensionMismatch(f"coefficient {tuple(t)} has shape {np.shape(c)}, not ({n}, {n})")
             stack[sum(d * st for d, st in zip(t, strides))] = c
         stack.flags.writeable = False
-        x = _image(stack, _shift_table(sizes)[0]).view(cls)
-        x.coeffs, x.sizes = stack, sizes
+        x = _image(stack, _shift_table(units)[0]).view(cls)
+        x.coeffs, x.units = stack, units
         x.flags.writeable = False
         return x
 
     def __array_finalize__(self, obj) -> None:
-        self.coeffs, self.sizes = None, ()
+        self.coeffs, self.units = None, ()
 
 
 def _element(a) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Coefficient stack and shift sizes to evaluate ``a`` on.
+    """Coefficient stack and units to evaluate ``a`` on.
 
-    A ShiftJet whose coefficients are all upper triangular goes in as its
-    dense image, which is then upper triangular, so that the exact band
-    rule of ``_expm`` applies to it.
+    A ShiftJet goes in as its dense image when a unit is IMAG, whose
+    element the forward substitution of ``_solve`` cannot invert, or when
+    its coefficients are all upper triangular: its image is then upper
+    triangular, so that the exact band rule of ``_expm`` applies to it.
     """
     coeffs = getattr(a, "coeffs", None)
-    if isinstance(a, ShiftJet) and coeffs is not None and np.tril(coeffs, -1).any():
-        return coeffs, a.sizes
+    if (isinstance(a, ShiftJet) and coeffs is not None and IMAG not in a.units
+            and np.tril(coeffs, -1).any()):
+        return coeffs, a.units
     return as_matrix(a)[None], ()
 
 
@@ -300,18 +331,21 @@ def _norm1(c: np.ndarray) -> float:
 
 
 def _mul(a: np.ndarray, b: np.ndarray, pairs, out: np.ndarray | None = None) -> np.ndarray:
-    """Product of two elements: ``out[t] = sum a[r] b[t - r]`` over ``pairs[t]``."""
+    """Product of two elements: ``out[t] = sum +-a[r] b[q]`` over ``pairs[t]``."""
     if out is None:
         out = np.empty_like(a)
-    for t, ((r0, q0), *rest) in enumerate(pairs):
+    for t, ((r0, q0, _), *rest) in enumerate(pairs):
         np.matmul(a[r0], b[q0], out=out[t])
-        for r, q in rest:
-            out[t] += a[r] @ b[q]
+        for r, q, neg in rest:
+            if neg:
+                out[t] -= a[r] @ b[q]
+            else:
+                out[t] += a[r] @ b[q]
     return out
 
 
 def _solve(q: np.ndarray, p: np.ndarray, table) -> np.ndarray:
-    """``q^-1 p`` in the algebra, by forward substitution over total degree.
+    """``q^-1 p`` in an algebra of shifts, by forward substitution over total degree.
 
     y[t] = q[0]^-1 (p[t] - sum_{r > 0} q[r] y[t - r]), one solve with q[0]
     per degree against that degree's stacked right-hand sides.
@@ -322,7 +356,7 @@ def _solve(q: np.ndarray, p: np.ndarray, table) -> np.ndarray:
     for level in levels:
         rhs = p[list(level)]
         for j, t in enumerate(level):
-            for r, s in pairs[t][1:]:
+            for r, s, _ in pairs[t][1:]:
                 rhs[j] -= q[r] @ y[s]
         sol = np.linalg.solve(q[0], rhs.transpose(1, 0, 2).reshape(n, -1))
         y[list(level)] = sol.reshape(n, len(level), n).transpose(1, 0, 2)

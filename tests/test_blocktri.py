@@ -6,9 +6,7 @@ from matderiv import (
     IMAG,
     PathJet,
     alpha_to_dirs,
-    build_xk,
     dk_general,
-    embed,
     frechet_via_blocktri,
     get_function,
     hermitian_eig,
@@ -26,7 +24,8 @@ from matderiv.errors import (
     NotDag,
     OrderExceeded,
 )
-from matderiv.linalg import extract_block, frobenius
+from matderiv.blocktri import _jet_coeffs
+from matderiv.linalg import ShiftJet, extract_block, frobenius
 from matderiv.multiindex import iter_sub_indices
 
 
@@ -67,7 +66,7 @@ def test_build_xk_one_level():
     a = rand_complex(rng, 3)
     e = rand_complex(rng, 3)
     jet = PathJet(terms={(0,): a, (1,): e}, order=1)
-    x = build_xk(jet, (1,))
+    x = ShiftJet(*_jet_coeffs(jet, (1,)))
     expected = np.block([[a, e], [np.zeros((3, 3)), a]])
     np.testing.assert_array_equal(x, expected)
 
@@ -80,7 +79,7 @@ def test_build_xk_two_levels_layout():
     ab = jet.term((1, 0))
     ag = jet.term((0, 1))
     ax = jet.term((1, 1))
-    x = build_xk(jet, (1, 2))
+    x = ShiftJet(*_jet_coeffs(jet, (1, 2)))
     z = np.zeros((n, n))
     # first direction on the inner doubling, second on the outer
     expected = np.block([
@@ -100,7 +99,7 @@ def test_build_xk_repeated_direction():
     a = jet.term((0,))
     a1 = jet.term((1,))
     a2 = jet.term((2,))
-    x = build_xk(jet, (1, 1))
+    x = ShiftJet(*_jet_coeffs(jet, (1, 1)))
     z = np.zeros((n, n))
     expected = np.block([
         [a, a1, a2 / 2],
@@ -113,7 +112,7 @@ def test_build_xk_repeated_direction():
 def test_build_xk_zero_directions_block_diagonal():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     jet = PathJet(terms={(0,): a}, order=2, missing_is_zero=True)
-    x = build_xk(jet, (1, 1))
+    x = ShiftJet(*_jet_coeffs(jet, (1, 1)))
     np.testing.assert_array_equal(x, np.kron(np.eye(3), a.astype(complex)))
 
 
@@ -122,7 +121,7 @@ def test_build_xk_minimal_size(alpha):
     rng = np.random.default_rng(20)
     n = 2
     jet = complete_jet(rng, n, alpha)
-    x = build_xk(jet, alpha_to_dirs(alpha))
+    x = ShiftJet(*_jet_coeffs(jet, alpha_to_dirs(alpha)))
     assert x.shape[0] == np.prod([a + 1 for a in alpha]) * n
 
 
@@ -227,7 +226,7 @@ def test_other_callables_get_the_dense_matrix(alpha, fact):
     rng = np.random.default_rng(25)
     n = 3
     jet = complete_jet(rng, n, alpha)
-    dense = build_xk(jet, alpha_to_dirs(alpha))
+    dense = ShiftJet(*_jet_coeffs(jet, alpha_to_dirs(alpha)))
     last = dense.shape[0] // n - 1
     seen = []
 
@@ -247,35 +246,45 @@ def test_other_callables_get_the_dense_matrix(alpha, fact):
 def test_build_xk_validates_input():
     jet = PathJet(terms={(0,): np.eye(2)}, order=1, missing_is_zero=True)
     with pytest.raises(EmptyIndex):
-        build_xk(jet, ())
+        ShiftJet(*_jet_coeffs(jet, ()))
     with pytest.raises(DimensionMismatch):
-        build_xk(jet, (2,))
+        ShiftJet(*_jet_coeffs(jet, (2,)))
     deep = PathJet(terms={(0,): np.eye(2)}, order=7, missing_is_zero=True)
     with pytest.raises(OrderExceeded):
-        build_xk(deep, (1,) * 7)
+        ShiftJet(*_jet_coeffs(deep, (1,) * 7))
 
 
 def test_embed_validates_units_and_coefficients():
     a = np.eye(2, dtype=complex)
     with pytest.raises(DimensionMismatch):
-        embed({}, (2,))
+        ShiftJet({}, (2,))
     with pytest.raises(DimensionMismatch):
-        embed({(0,): a}, (0,))
+        ShiftJet({(0,): a}, (0,))
     with pytest.raises(DimensionMismatch):
-        embed({(0,): a, (2,): a}, (2,))
+        ShiftJet({(0,): a, (2,): a}, (2,))
     with pytest.raises(DimensionMismatch):
-        embed({(0,): a, (2,): a}, (IMAG,))
+        ShiftJet({(0,): a, (2,): a}, (IMAG,))
     with pytest.raises(DimensionMismatch):
-        embed({(0, 0): a}, (2,))
+        ShiftJet({(0, 0): a}, (2,))
     with pytest.raises(DimensionMismatch):
-        embed({(0,): a, (1,): np.eye(3)}, (2,))
+        ShiftJet({(0,): a, (1,): np.eye(3)}, (2,))
+    for coeffs, units in [
+        ({(0,): a}, (-2,)),  # below 1 and not IMAG
+        ({(0, 0): a, (2, 0): a}, (2, 2)),  # digit 2 of a size-2 shift
+        ({(0, 0): a, (0, 2): a}, (2, IMAG)),  # digit 2 of an IMAG unit
+        ({(0,): a, (1,): np.ones((2, 3))}, (2,)),  # not square
+        ({(0,): a, (1,): a[0]}, (IMAG,)),  # not a matrix
+        ({(0,): 1.0}, (2,)),  # a scalar
+    ]:
+        with pytest.raises(DimensionMismatch):
+            ShiftJet(coeffs, units)
 
 
 def test_diagonal_blocks_carry_f_of_base():
     rng = np.random.default_rng(3)
     jet = complete_jet(rng, 3, (1, 1))
     f = get_function("exp")
-    fx = f(build_xk(jet, (1, 2)))
+    fx = f(ShiftJet(*_jet_coeffs(jet, (1, 2))))
     fa = f(jet.base)
     for i in range(4):
         blk = extract_block(fx, i, i, 3)

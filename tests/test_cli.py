@@ -311,10 +311,26 @@ def test_custom_stepped_routes_above_order_two(tmp_path, capsys):
 
 def test_custom_non_finite_step_is_route_error(tmp_path, capsys):
     # h^2 underflows: the stepped quotient is not finite and is refused
-    # (--h-min only keeps the grid check satisfied; custom has no grid)
+    # (custom has no grid, so --h-min is accepted and ignored)
     step = ["--route", "cs", "--h-max", "1e-170", "--h-min", "1e-200"]
     with pytest.warns(RuntimeWarning, match="to the power 2"):
         code = _custom_full_jet(tmp_path, (1, 1), step)
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "non-finite" in err
+
+
+def test_custom_step_below_grid_floor_runs(tmp_path, capsys):
+    # custom has no grid: a step below the sweeps' default h_min needs no
+    # --h-min, and --h-min above it or --points 1 are ignored
+    routes = ["--route", "blocktri", "--route", "cs", "--h-max", "1e-9", "--h-min", "1e-3",
+              "--points", "1"]
+    assert _custom_full_jet(tmp_path, (1, 1), routes) == 0
+    compare = [l for l in capsys.readouterr().err.splitlines() if l.startswith("compare,")]
+    assert len(compare) == 1 and float(compare[0].split(",")[3]) <= 1e-6
+
+
+@pytest.mark.parametrize("h", ["0", "-1", "inf", "nan"])
+def test_custom_bad_step_is_config_error(tmp_path, capsys, h):
+    assert _custom_full_jet(tmp_path, (1, 1), ["--route", "cs", "--h-max", h]) == 1
+    assert "configuration error" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from matderiv import (
     cs_frechet_1,
     cs_partial_2,
     dk_general,
-    embed,
     get_function,
     hermitian_eig,
     hybrid_partial_2,
@@ -24,7 +23,7 @@ from matderiv import (
     regular_cs_1,
 )
 from matderiv.errors import DimensionMismatch, DomainError
-from matderiv.linalg import frobenius
+from matderiv.linalg import ShiftJet, frobenius
 from matderiv.multiindex import iter_sub_indices
 
 
@@ -45,14 +44,14 @@ def complete_jet(rng, n, alpha):
 def test_block_embed_one_level():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    x = embed({(0,): a, (1,): b}, (IMAG,))
+    x = ShiftJet({(0,): a, (1,): b}, (IMAG,))
     np.testing.assert_array_equal(x, np.block([[a, b], [-b, a]]).astype(complex))
 
 
 def test_block_embed_two_level_sign_pattern():
     # golden 1x1 check of every sign in the two-level layout
     a, b, c, d = 1.0, 2.0, 3.0, 5.0
-    x = embed(
+    x = ShiftJet(
         {(0, 0): np.array([[a]]), (1, 0): np.array([[b]]),
          (0, 1): np.array([[c]]), (1, 1): np.array([[d]])},
         (IMAG, IMAG),
@@ -69,7 +68,7 @@ def test_block_embed_two_level_sign_pattern():
 def test_multicomplex_embed_one_level():
     a = np.array([[2.0]])
     e = np.array([[3.0]])
-    x = embed({(0,): a, (1,): 0.5 * e}, (IMAG,))
+    x = ShiftJet({(0,): a, (1,): 0.5 * e}, (IMAG,))
     np.testing.assert_array_equal(
         x, np.array([[2.0, 1.5], [-1.5, 2.0]]).astype(complex)
     )
@@ -79,7 +78,7 @@ def test_multicomplex_embed_zero_directions_block_diagonal():
     rng = np.random.default_rng(0)
     a = rand_complex(rng, 2)
     z = np.zeros((2, 2))
-    x = embed({(0, 0): a, (1, 0): z, (0, 1): z}, (IMAG, IMAG))
+    x = ShiftJet({(0, 0): a, (1, 0): z, (0, 1): z}, (IMAG, IMAG))
     np.testing.assert_array_equal(x, np.kron(np.eye(4), a))
 
 
@@ -93,7 +92,7 @@ def test_multicomplex_embed_matches_direct_recursion():
     x1 = np.block([[a, h * e1], [-h * e1, a]])
     he2 = np.kron(np.eye(2), h * e2)
     x2 = np.block([[x1, he2], [-he2, x1]])
-    x = embed({(0, 0): a, (1, 0): h * e1, (0, 1): h * e2}, (IMAG, IMAG))
+    x = ShiftJet({(0, 0): a, (1, 0): h * e1, (0, 1): h * e2}, (IMAG, IMAG))
     np.testing.assert_array_equal(x, x2)
 
 

@@ -1,4 +1,5 @@
 """Dense-kernel tests: eigensolver wrapper, function backends, block helpers."""
+import itertools
 import math
 
 import numpy as np
@@ -8,17 +9,18 @@ from matderiv import (
     IMAG,
     NotHermitian,
     PathJet,
-    build_xk,
-    embed,
     SpectralDecomp,
     hermitian_eig,
     matrix_cos,
     matrix_exp,
     spectral_norm,
 )
+from matderiv.blocktri import _jet_coeffs
 from matderiv.errors import DimensionMismatch, DomainError
 from matderiv.linalg import (
     ShiftJet,
+    _image,
+    _mul,
     _scaling,
     _shift_table,
     extract_block,
@@ -245,11 +247,11 @@ def test_matrix_functions_match_scipy_on_embeddings(alpha, n):
     sl = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(sum(alpha) * 10 + alpha[0] + n)
     coeffs = {t: rand_complex(rng, n) / n for t in iter_sub_indices(alpha)}
-    x = build_xk(PathJet(terms=coeffs, order=3), [1] * alpha[0] + [2] * alpha[1])
+    x = ShiftJet(*_jet_coeffs(PathJet(terms=coeffs, order=3), [1] * alpha[0] + [2] * alpha[1]))
     element = ShiftJet({t: c / np.prod([math.factorial(d) for d in t]) for t, c in coeffs.items()},
                        [a + 1 for a in alpha])
     assert np.array_equal(element, x)
-    for a in (x, element):
+    for a in (np.array(x), element):
         assert rel_err(matrix_exp(a), sl.expm(x)) <= 1e-13
         assert rel_err(matrix_cos(a), sl.cosm(x)) <= 1e-13
 
@@ -262,12 +264,86 @@ def shift_element(rng, n, alpha, scale):
     return coeffs, [a + 1 for a in alpha]
 
 
+def embed(coeffs, units):
+    """Reference image of sum_t coeffs[t] (x) u^t, placed block by block.
+
+    Block (r, c) carries the coefficient whose digit is c_i - r_i on a
+    shift and r_i xor c_i on an IMAG unit, negated once per IMAG digit set
+    in both t and r. It shares no code with ``ShiftJet``'s product table.
+    """
+    sizes = [2 if u == IMAG else int(u) for u in units]
+    strides = [math.prod(sizes[:i]) for i in range(len(sizes))]
+    nb = math.prod(sizes)
+    n = next(iter(coeffs.values())).shape[0]
+    x = np.zeros((nb * n, nb * n), dtype=np.complex128)
+    for t, c in coeffs.items():
+        places = [(0, 0, False)]  # (row block, column block, negated)
+        for d, u, s, st in zip(t, units, sizes, strides):
+            if u == IMAG:
+                digit = ((0, d * st, False), (st, (1 - d) * st, d == 1))
+            else:
+                digit = [(r * st, (r + d) * st, False) for r in range(s - d)]
+            places = [(r + dr, col + dc, neg != dn)
+                      for r, col, neg in places for dr, dc, dn in digit]
+        for r, col, neg in places:
+            x[r * n:(r + 1) * n, col * n:(col + 1) * n] = -c if neg else c
+    return x
+
+
+def random_element(rng, n, units, drop=0.0):
+    """Random coefficients for every digit of ``units``, each dropped with probability ``drop``."""
+    sizes = [2 if u == IMAG else u for u in units]
+    return {t: rand_complex(rng, n) for t in np.ndindex(*sizes) if not any(t) or rng.random() >= drop}
+
+
+UNIT_CHOICES = (1, 2, 3, 4, IMAG)
+
+
+@pytest.mark.parametrize("units", [(IMAG,), (IMAG, IMAG), (2, IMAG), (IMAG, 3), (2, IMAG, IMAG),
+                                   (IMAG, 2, IMAG), (3, 2)])
+def test_signed_products_map_to_image_products(units):
+    rng = np.random.default_rng(35)
+    a = ShiftJet(random_element(rng, 3, units), units)
+    b = ShiftJet(random_element(rng, 3, units), units)
+    pairs = _shift_table(units)[0]
+    assert rel_err(_image(_mul(a.coeffs, b.coeffs, pairs), pairs), np.array(a) @ np.array(b)) <= 1e-13
+
+
+@pytest.mark.parametrize("units", [(1,), (3,), (3, 2), (2, 2, 2), (4, 1, 3)])
+def test_shift_only_tables_are_unsigned_truncated_convolutions(units):
+    strides = [math.prod(units[:i]) for i in range(len(units))]
+    digits = [d[::-1] for d in np.ndindex(*units[::-1])]  # flat order: first digit fastest
+    flat = {d: sum(x * st for x, st in zip(d, strides)) for d in digits}
+    pairs = _shift_table(units)[0]
+    for dt in digits:
+        want = sorted((flat[dr], flat[dt] - flat[dr], False) for dr in digits
+                      if all(r <= t for r, t in zip(dr, dt)))
+        assert list(pairs[flat[dt]]) == want
+
+
+@pytest.mark.parametrize("units", [(IMAG,), (IMAG, IMAG), (2, IMAG), (IMAG, 2)])
+def test_imag_element_is_evaluated_as_its_dense_matrix(units):
+    rng = np.random.default_rng(36)
+    x = ShiftJet({t: c / 4 for t, c in random_element(rng, 4, units).items()}, units)
+    assert np.array_equal(matrix_exp(x), matrix_exp(np.asarray(x)))
+    assert np.array_equal(matrix_cos(x), matrix_cos(np.asarray(x)))
+
+
 def test_shift_jet_is_embed_matrix():
     rng = np.random.default_rng(30)
     coeffs, sizes = shift_element(rng, 3, (2, 1), 1.0)
     del coeffs[(1, 1)]  # a missing coefficient is zero, as in embed
     x = ShiftJet(coeffs, sizes)
     assert isinstance(x, np.ndarray) and np.array_equal(x, embed(coeffs, sizes))
+    # every unit tuple of length 1 to 3 over shifts 1..4 and IMAG, some coefficients missing
+    cases = 0
+    for units in itertools.chain.from_iterable(itertools.product(UNIT_CHOICES, repeat=k)
+                                               for k in (1, 2, 3)):
+        for n in (1, 3):
+            element = random_element(rng, n, units, drop=0.25)
+            assert np.array_equal(ShiftJet(element, units), embed(element, units)), units
+            cases += 1
+    assert cases == 310
     assert not x.flags.writeable
     assert (x @ x).coeffs is None and x.T.coeffs is None  # derived arrays are plain matrices
 
@@ -279,7 +355,7 @@ def test_algebra_matches_dense_image(alpha, n, scale):
     rng = np.random.default_rng(31 + n)
     x = ShiftJet(*shift_element(rng, n, alpha, scale))
     dense = np.array(x)
-    assert _scaling(x.coeffs, _shift_table(x.sizes)[0])[3] == degree_of(dense)
+    assert _scaling(x.coeffs, _shift_table(x.units)[0])[3] == degree_of(dense)
     assert rel_err(matrix_exp(x), matrix_exp(dense)) <= 1e-13
     assert rel_err(matrix_cos(x), matrix_cos(dense)) <= 1e-13
 
@@ -289,7 +365,7 @@ def test_algebra_matches_scipy(alpha):
     sl = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(32)
     x = ShiftJet(*shift_element(rng, 40, alpha, 30.0))
-    assert _scaling(x.coeffs, _shift_table(x.sizes)[0])[3][1] > 0
+    assert _scaling(x.coeffs, _shift_table(x.units)[0])[3][1] > 0
     assert rel_err(matrix_exp(x), sl.expm(np.array(x))) <= 1e-13
     assert rel_err(matrix_cos(x), sl.cosm(np.array(x))) <= 1e-13
 
@@ -307,7 +383,7 @@ def test_matrix_exp_matches_scipy_on_step_embedding():
     sl = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(8)
     n, h = 20, 1e-8
-    x = embed({(0,): rand_complex(rng, n) / 4, (1,): h * rand_complex(rng, n)}, (IMAG,))
+    x = ShiftJet({(0,): rand_complex(rng, n) / 4, (1,): h * rand_complex(rng, n)}, (IMAG,))
     got = extract_block(matrix_exp(x), 0, 1, n)
     assert rel_err(got, extract_block(sl.expm(x), 0, 1, n)) <= 1e-13
 
