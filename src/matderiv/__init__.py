@@ -58,15 +58,7 @@ from .linalg import (
     spectral_norm,
 )
 from .matio import dumps_matrix, loads_matrix, read_matrix, write_matrix
-from .multiindex import (
-    MultiIndex,
-    alpha_to_dirs,
-    dirs_to_alpha,
-    resolve_request,
-    s_partitions,
-    split_last,
-    t_permutations,
-)
+from .multiindex import MultiIndex, resolve_request, s_partitions, t_permutations
 from .qperturb import (
     density_deriv_1,
     density_deriv_2,

@@ -93,6 +93,8 @@ class PathJet:
             normalized[t] = m
         if self.order < 1:
             raise OrderExceeded(f"jet order must be >= 1, got {self.order}")
+        if dim == 0:
+            raise DimensionMismatch("jet terms are 0x0; need dimension >= 1")
         zero = (0,) * nvars
         if zero not in normalized:
             raise MissingJetTerm("jet is missing the base point (zero multi-index)")

@@ -19,7 +19,7 @@ import numpy as np
 from .blocktri import PathJet
 from .errors import DimensionMismatch, MatDerivError, ReferenceValidationFailed
 from .experiments import (
-    CUSTOM_ROUTES,
+    ROUTES,
     ExperimentConfig,
     checks_to_csv,
     records_to_csv,
@@ -102,7 +102,7 @@ def build_parser() -> _Parser:
     sp.add_argument(
         "--route",
         action="append",
-        choices=list(CUSTOM_ROUTES),
+        choices=list(ROUTES),
         help="derivative route; repeat to cross-compare (default: blocktri)",
     )
     return p
@@ -122,7 +122,7 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
         # no grid: --h-max is the stepped routes' one step; --h-min and --points are unused
         if args.h_max is not None and not 0.0 < args.h_max < math.inf:
             raise ValueError(f"custom needs a finite step --h-max > 0, got {args.h_max}")
-        return ExperimentConfig(seed=args.seed, n=n, deterministic=args.deterministic, out=args.out)
+        return ExperimentConfig(seed=args.seed, n=n, deterministic=args.deterministic)
     return ExperimentConfig(
         seed=args.seed,
         n=n,
@@ -130,7 +130,6 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
         h_min=args.h_min if args.h_min is not None else defaults["h_min"],
         points=args.points if args.points is not None else defaults["points"],
         deterministic=args.deterministic,
-        out=args.out,
     )
 
 
@@ -164,6 +163,8 @@ def _parse_custom_inputs(args: argparse.Namespace):
         if not sep:
             raise ValueError(f"bad --jet value {item!r}; expected INDEX=FILE")
         key = _parse_index(key_text)
+        if key in terms:
+            raise ValueError(f"{path}: jet term {key} given twice")
         terms[key] = _read_jet_term(key, path, dim)
         dim = terms[key].shape[0]
     alpha_arg = _parse_index(args.alpha) if args.alpha else None
@@ -175,17 +176,17 @@ def _parse_custom_inputs(args: argparse.Namespace):
     return jet, alpha, routes
 
 
-def _cmd_fig1(cfg: ExperimentConfig, variant: str) -> int:
-    result = run_fig1(cfg, variant)
-    _emit(records_to_csv(result.records), cfg.out)
+def _cmd_fig1(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    result = run_fig1(cfg, args.command.removeprefix("fig1-"))
+    _emit(records_to_csv(result.records), args.out)
     for method, note in result.flags.items():
         print(f"note: {method}: {note}", file=sys.stderr)
     return 0
 
 
-def _cmd_fig2(cfg: ExperimentConfig) -> int:
+def _cmd_fig2(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     result = run_fig2(cfg)
-    _emit(records_to_csv(result.records), cfg.out)
+    _emit(records_to_csv(result.records), args.out)
     print(
         f"reference validated: extrapolated difference agrees to {result.reference_agreement:.3e}",
         file=sys.stderr,
@@ -195,9 +196,9 @@ def _cmd_fig2(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_density(cfg: ExperimentConfig, mu: float | None) -> int:
-    result = run_density_demo(cfg, mu=mu)
-    _emit(checks_to_csv(result.checks), cfg.out)
+def _cmd_density(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    result = run_density_demo(cfg, mu=args.mu)
+    _emit(checks_to_csv(result.checks), args.out)
     print(f"mu = {result.mu!r}, occupied levels = {result.n_occ}", file=sys.stderr)
     if not result.all_passed:
         failed = [c.name for c in result.checks if not c.passed]
@@ -206,10 +207,10 @@ def _cmd_density(cfg: ExperimentConfig, mu: float | None) -> int:
     return 0
 
 
-def _cmd_custom(cfg: ExperimentConfig, args: argparse.Namespace, inputs) -> int:
+def _cmd_custom(args: argparse.Namespace, inputs) -> int:
     jet, alpha, routes = inputs
     result = run_custom(jet, args.function, routes, alpha, h=args.h_max)
-    _emit(dumps_matrix(result.primary), cfg.out)
+    _emit(dumps_matrix(result.primary), args.out)
     for left, right, err in result.comparisons:
         print(f"compare,{left},{right},{err!r}", file=sys.stderr)
     return 0
@@ -228,15 +229,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "fig1-real":
-            return _cmd_fig1(cfg, "real")
-        if args.command == "fig1-complex":
-            return _cmd_fig1(cfg, "complex")
+        if args.command.startswith("fig1-"):
+            return _cmd_fig1(cfg, args)
         if args.command == "fig2":
-            return _cmd_fig2(cfg)
+            return _cmd_fig2(cfg, args)
         if args.command == "density-demo":
-            return _cmd_density(cfg, args.mu)
-        return _cmd_custom(cfg, args, custom_inputs)
+            return _cmd_density(cfg, args)
+        return _cmd_custom(args, custom_inputs)
     except ReferenceValidationFailed as exc:
         print(f"reference validation failed: {exc}", file=sys.stderr)
         return 3

@@ -209,8 +209,8 @@ class DividedDifferenceTable:
     for the sorted multiset of colex rank r over sorted node positions, and
     for k >= 1 ``inserts[k][a, r]`` is the level-k rank of level-(k-1)
     multiset r with position a added; the insert tables are shared by
-    every table of the same size and are read-only. ``ranks`` and
-    ``dense`` expand a level to all index tuples.
+    every table of the same size and are read-only. ``ranks`` expands a
+    level to all index tuples.
     """
 
     order: np.ndarray
@@ -228,11 +228,6 @@ class DividedDifferenceTable:
         for j in range(1, k + 1):
             r = self.inserts[j][:, r]
         return r
-
-    def dense(self, k: int) -> np.ndarray:
-        """Level-k tensor of divided differences in the original node order."""
-        pos = np.argsort(self.order)
-        return self.values[k][self.ranks(k)[np.ix_(*[pos] * (k + 1))]]
 
 
 def dd_table(f: ScalarFunction, nodes, m: int) -> DividedDifferenceTable:

@@ -5,6 +5,8 @@ competing schemes, and returns plain records; the CSV serialization keeps
 rows sorted by (method, h descending) and formats floats with shortest
 round-trip reprs, so equal seeds give equal bytes (timings are zeroed in
 deterministic mode, being the one genuinely nondeterministic column).
+Every derivative route is one entry of ``ROUTES``, which ``custom`` (via
+``compute_route``) and the sweeps share.
 """
 from __future__ import annotations
 
@@ -15,19 +17,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .blocktri import (
-    PathJet,
-    frechet_via_blocktri,
-    partial_via_blocktri,
-    partial_via_frechet_sum,
-)
+from .blocktri import PathJet, partial_via_blocktri, partial_via_frechet_sum
 from .cstep import (
     DEFAULT_H_FIRST,
     DEFAULT_H_SECOND,
     _central_fd,
-    central_fd_1,
-    central_fd_2_mixed,
-    cs_frechet_1,
     cs_partial_2,
     hybrid_partial_2,
     regular_cs_1,
@@ -36,7 +30,7 @@ from .divdiff import dk_general, jet_to_eigenbasis
 from .errors import DimensionMismatch, ReferenceValidationFailed
 from .funcs import MatrixFunction, get_function
 from .linalg import hermitian_eig, spectral_norm
-from .multiindex import as_index, iter_sub_indices, order
+from .multiindex import MultiIndex, as_index, iter_sub_indices, order
 from .qperturb import (
     density_deriv_1,
     density_deriv_2,
@@ -45,9 +39,6 @@ from .qperturb import (
     eigvec_correction_2,
     step_function,
 )
-
-FIG1_GRID = (1e-1, 1e-13, 25)
-FIG2_GRID = (1e-1, 1e-8, 15)
 
 REFERENCE_GATE = 1e-6
 REFERENCE_FD_STEP = 1e-3
@@ -66,7 +57,6 @@ class ExperimentConfig:
     h_min: float = 1e-13
     points: int = 25
     deterministic: bool = False
-    out: str | None = None
 
     def __post_init__(self) -> None:
         if self.points < 2:
@@ -79,7 +69,8 @@ class ExperimentConfig:
             raise DimensionMismatch(f"matrix dimension must be positive, got {self.n}")
 
     def grid(self) -> np.ndarray:
-        return geometric_grid(self.h_max, self.h_min, self.points)
+        """Strictly decreasing geometric grid from h_max down to h_min."""
+        return np.geomspace(self.h_max, self.h_min, self.points)
 
 
 @dataclass(frozen=True)
@@ -96,13 +87,6 @@ class CheckRecord:
     value: float
     threshold: float
     passed: bool
-
-
-def geometric_grid(h_max: float, h_min: float, points: int) -> np.ndarray:
-    """Strictly decreasing geometric grid from h_max down to h_min."""
-    if not (0.0 < h_min < h_max) or points < 2:
-        raise DimensionMismatch("grid needs 0 < h_min < h_max and points >= 2")
-    return np.geomspace(h_max, h_min, points)
 
 
 def rel_error(x, ref) -> float:
@@ -171,6 +155,84 @@ def checks_to_csv(checks: Sequence[CheckRecord]) -> str:
 
 
 # --------------------------------------------------------------------------
+# the route table: every derivative route as one (f, jet, alpha, h) callable
+
+Route = Callable[[MatrixFunction, PathJet, MultiIndex, float], np.ndarray]
+
+
+def _dk(f: MatrixFunction, jet: PathJet, alpha: MultiIndex, h: float) -> np.ndarray:
+    d = hermitian_eig(jet.base)
+    # every nonzero t <= alpha is a part of some splitting of alpha
+    needed = {t: jet.term(t) for t in iter_sub_indices(alpha) if any(t)}
+    return dk_general(f.scalar, d, jet_to_eigenbasis(d, needed), alpha)
+
+
+# the exact and spectral routes ignore h
+ROUTES: dict[str, Route] = {
+    "blocktri": lambda f, jet, alpha, h: partial_via_blocktri(f, jet, alpha),
+    "frechet_sum": lambda f, jet, alpha, h: partial_via_frechet_sum(f, jet, alpha),
+    "dk": _dk,
+    "cs": cs_partial_2,
+    "hybrid": hybrid_partial_2,
+    "fd": _central_fd,
+}
+
+
+def compute_route(
+    route: str,
+    f: MatrixFunction,
+    jet: PathJet,
+    alpha,
+    h: float | None = None,
+) -> np.ndarray:
+    """Evaluate one derivative route on a jet.
+
+    The exact and spectral routes and cs take any order within the block
+    limit; hybrid needs |alpha| >= 2 and fd |alpha| <= 2. ``h`` is the
+    step of the stepped routes, by default 1e-8 at order 1 and 1e-5
+    above, and 1e-5 for fd.
+    """
+    alpha = as_index(alpha)
+    if route not in ROUTES:
+        raise DimensionMismatch(f"unknown route {route!r}; choices: {tuple(ROUTES)}")
+    if h is None:
+        h = DEFAULT_H_FIRST if route != "fd" and order(alpha) == 1 else DEFAULT_H_SECOND
+    return ROUTES[route](f, jet, alpha, h)
+
+
+def _scaled_blocktri(f: MatrixFunction, jet: PathJet, alpha: MultiIndex, h: float) -> np.ndarray:
+    """blocktri on the jet with term t scaled by h^|t|, over h^|alpha|: the
+    exact derivative at every step, the flat line of a sweep."""
+    terms = {t: math.prod([h] * order(t)) * m if any(t) else m for t, m in jet.terms.items()}
+    scaled = PathJet(terms=terms, order=jet.order, missing_is_zero=jet.missing_is_zero)
+    return partial_via_blocktri(f, scaled, alpha) / math.prod([h] * order(alpha))
+
+
+def _sweep(
+    config: ExperimentConfig,
+    methods: dict[str, Route],
+    f: MatrixFunction,
+    jet: PathJet,
+    alpha: MultiIndex,
+    reference: np.ndarray,
+) -> list[ConvergenceRecord]:
+    """Each method at every step of the grid, against one reference."""
+    records: list[ConvergenceRecord] = []
+    for name, route in methods.items():
+        for h in config.grid():
+            val, micros = _timed(lambda: route(f, jet, alpha, float(h)), config.deterministic)
+            records.append(
+                ConvergenceRecord(
+                    h=float(h),
+                    method=name,
+                    rel_error=rel_error(val, reference),
+                    runtime_micros=micros,
+                )
+            )
+    return records
+
+
+# --------------------------------------------------------------------------
 # first-derivative scalar comparison (cosine through the exponential)
 
 @dataclass(frozen=True)
@@ -201,11 +263,11 @@ def run_fig1(config: ExperimentConfig, variant: str) -> Fig1Result:
         a = np.array([[vals[0] + 1j * vals[1]]])
         e = np.array([[vals[2] + 1j * vals[3]]])
     f = get_function("cos")
+    jet = PathJet(terms={(0,): a, (1,): e}, order=1)
     reference = -np.sin(a[0, 0]) * e
     flags: dict[str, str] = {}
-    records: list[ConvergenceRecord] = []
 
-    def regular(h: float) -> np.ndarray:
+    def regular(f: MatrixFunction, jet: PathJet, alpha: MultiIndex, h: float) -> np.ndarray:
         if variant == "real":
             return regular_cs_1(f, a, e, h)
         # shares the data's own imaginary unit, so this is wrong by design
@@ -214,23 +276,13 @@ def run_fig1(config: ExperimentConfig, variant: str) -> Fig1Result:
     if variant == "complex":
         flags["regular_cs"] = "invalid for complex input; recorded literally"
 
-    methods: dict[str, Callable[[float], np.ndarray]] = {
-        "central_fd": lambda h: central_fd_1(f, a, e, h),
+    methods = {
+        "central_fd": ROUTES["fd"],
         "regular_cs": regular,
-        "block_cs": lambda h: cs_frechet_1(f, a, e, h),
-        "blocktri_exact": lambda h: frechet_via_blocktri(f, a, [h * e]) / h,
+        "block_cs": ROUTES["cs"],
+        "blocktri_exact": _scaled_blocktri,
     }
-    for name, fn in methods.items():
-        for h in config.grid():
-            val, micros = _timed(lambda: fn(float(h)), config.deterministic)
-            records.append(
-                ConvergenceRecord(
-                    h=float(h),
-                    method=name,
-                    rel_error=rel_error(val, reference),
-                    runtime_micros=micros,
-                )
-            )
+    records = _sweep(config, methods, f, jet, (1,), reference)
     return Fig1Result(records=records, reference=reference, a=a, e=e, flags=flags)
 
 
@@ -264,11 +316,11 @@ def run_fig2(config: ExperimentConfig) -> Fig2Result:
         terms={(0, 0): a0, (1, 0): a_b, (0, 1): a_g, (1, 1): a_x}, order=2
     )
     f = get_function("cos")
-    reference = partial_via_blocktri(f, jet, alpha)
+    reference = compute_route("blocktri", f, jet, alpha)
 
     hr = REFERENCE_FD_STEP
-    fd_big = central_fd_2_mixed(f, jet, hr, alpha)
-    fd_small = central_fd_2_mixed(f, jet, hr / 2.0, alpha)
+    fd_big = compute_route("fd", f, jet, alpha, hr)
+    fd_small = compute_route("fd", f, jet, alpha, hr / 2.0)
     richardson = (4.0 * fd_small - fd_big) / 3.0
     agreement = rel_error(richardson, reference)
     if agreement > REFERENCE_GATE:
@@ -277,36 +329,13 @@ def run_fig2(config: ExperimentConfig) -> Fig2Result:
             f"(gate {REFERENCE_GATE:.0e})"
         )
 
-    def scaled_blocktri(h: float) -> np.ndarray:
-        scaled = PathJet(
-            terms={
-                (0, 0): a0,
-                (1, 0): h * a_b,
-                (0, 1): h * a_g,
-                (1, 1): h * h * a_x,
-            },
-            order=2,
-        )
-        return partial_via_blocktri(f, scaled, alpha) / (h * h)
-
-    methods: dict[str, Callable[[float], np.ndarray]] = {
-        "central_fd": lambda h: central_fd_2_mixed(f, jet, h, alpha),
-        "block_cs": lambda h: cs_partial_2(f, jet, alpha, h),
-        "hybrid": lambda h: hybrid_partial_2(f, jet, alpha, h),
-        "blocktri_exact": scaled_blocktri,
+    methods = {
+        "central_fd": ROUTES["fd"],
+        "block_cs": ROUTES["cs"],
+        "hybrid": ROUTES["hybrid"],
+        "blocktri_exact": _scaled_blocktri,
     }
-    records: list[ConvergenceRecord] = []
-    for name, fn in methods.items():
-        for h in config.grid():
-            val, micros = _timed(lambda: fn(float(h)), config.deterministic)
-            records.append(
-                ConvergenceRecord(
-                    h=float(h),
-                    method=name,
-                    rel_error=rel_error(val, reference),
-                    runtime_micros=micros,
-                )
-            )
+    records = _sweep(config, methods, f, jet, alpha, reference)
     orders = {
         "block_cs": fit_order(records, "block_cs"),
         "hybrid": fit_order(records, "hybrid"),
@@ -462,9 +491,6 @@ def run_density_demo(config: ExperimentConfig, mu: float | None = None) -> Densi
 # --------------------------------------------------------------------------
 # custom jet evaluation across user-selected routes
 
-CUSTOM_ROUTES = ("blocktri", "frechet_sum", "dk", "cs", "hybrid", "fd")
-
-
 @dataclass(frozen=True)
 class CustomResult:
     results: dict[str, np.ndarray]
@@ -473,38 +499,6 @@ class CustomResult:
     @property
     def primary(self) -> np.ndarray:
         return next(iter(self.results.values()))
-
-
-def compute_route(
-    route: str,
-    f: MatrixFunction,
-    jet: PathJet,
-    alpha,
-    h: float | None = None,
-) -> np.ndarray:
-    """Evaluate one derivative route on a jet.
-
-    The exact and spectral routes and cs take any order within the block
-    limit; hybrid needs |alpha| >= 2 and fd |alpha| <= 2. ``h`` is the
-    step of the stepped routes, by default 1e-8 at order 1 and 1e-5
-    above, and 1e-5 for fd.
-    """
-    alpha = as_index(alpha)
-    if route == "blocktri":
-        return partial_via_blocktri(f, jet, alpha)
-    if route == "frechet_sum":
-        return partial_via_frechet_sum(f, jet, alpha)
-    if route == "dk":
-        d = hermitian_eig(jet.base)
-        # every nonzero t <= alpha is a part of some splitting of alpha
-        needed = {t: jet.term(t) for t in iter_sub_indices(alpha) if any(t)}
-        return dk_general(f.scalar, d, jet_to_eigenbasis(d, needed), alpha)
-    steps = {"cs": cs_partial_2, "hybrid": hybrid_partial_2, "fd": _central_fd}
-    if route in steps:
-        if h is None:
-            h = DEFAULT_H_FIRST if route != "fd" and order(alpha) == 1 else DEFAULT_H_SECOND
-        return steps[route](f, jet, alpha, h)
-    raise DimensionMismatch(f"unknown route {route!r}; choices: {CUSTOM_ROUTES}")
 
 
 def run_custom(

@@ -5,7 +5,6 @@ import pytest
 from matderiv import (
     IMAG,
     PathJet,
-    alpha_to_dirs,
     dk_general,
     frechet_via_blocktri,
     get_function,
@@ -26,7 +25,7 @@ from matderiv.errors import (
 )
 from matderiv.blocktri import _jet_coeffs
 from matderiv.linalg import ShiftJet, extract_block, frobenius
-from matderiv.multiindex import iter_sub_indices
+from matderiv.multiindex import alpha_to_dirs, iter_sub_indices
 
 
 def rand_complex(rng, n):
@@ -51,6 +50,11 @@ def test_pathjet_rejects_order_overflow():
 def test_pathjet_rejects_mixed_dims():
     with pytest.raises(DimensionMismatch):
         PathJet(terms={(0,): np.eye(2), (1,): np.eye(3)}, order=1)
+
+
+def test_pathjet_rejects_zero_dim():
+    with pytest.raises(DimensionMismatch, match="0x0"):
+        PathJet(terms={(0,): np.zeros((0, 0)), (1,): np.zeros((0, 0))}, order=1)
 
 
 def test_pathjet_missing_term_policies():

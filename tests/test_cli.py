@@ -258,6 +258,32 @@ def test_custom_term_size_mismatch_is_config_error(tmp_path, capsys):
     assert str(path) in err and "has dim 4, expected 5" in err
 
 
+def test_custom_duplicate_jet_key_is_config_error(tmp_path, capsys):
+    # a second file for the same term would silently replace the first
+    rng = np.random.default_rng(29)
+    a, b, e = (tmp_path / f"{name}.txt" for name in "abe")
+    for path in (a, b, e):
+        write_matrix(path, random_hermitian(rng, 3))
+    code = main(["custom", "--jet", f"0={a}", "--jet", f"0={b}", "--jet", f"1={e}", "--alpha", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "configuration error" in err
+    assert str(b) in err and "jet term (0,) given twice" in err
+
+
+@pytest.mark.parametrize("route", ["blocktri", "frechet_sum", "dk", "cs", "hybrid", "fd"])
+def test_custom_empty_jet_terms_are_config_error(tmp_path, capsys, route):
+    # a "0 0" file reads as a 0x0 matrix: there is nothing to differentiate
+    args = ["custom", "--alpha", "1,1", "--route", route]
+    for key in ("0,0", "1,0", "0,1", "1,1"):
+        path = tmp_path / f"t{key.replace(',', '_')}.txt"
+        write_matrix(path, np.zeros((0, 0)))
+        args += ["--jet", f"{key}={path}"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "0x0" in err
+
+
 def _custom_two_var(tmp_path, jet_keys, alpha):
     """Run custom on a random two-variable jet with the given term keys."""
     rng = np.random.default_rng(27)

@@ -9,14 +9,13 @@ from matderiv.errors import (
 )
 from matderiv import experiments
 from matderiv.experiments import (
-    CUSTOM_ROUTES,
+    ROUTES,
     CheckRecord,
     ConvergenceRecord,
     ExperimentConfig,
     checks_to_csv,
     compute_route,
     fit_order,
-    geometric_grid,
     random_complex_matrix,
     random_hermitian,
     records_to_csv,
@@ -26,18 +25,27 @@ from matderiv.experiments import (
     run_fig1,
     run_fig2,
 )
-from matderiv import PathJet, get_function, jet_from_directions
+from matderiv import (
+    PathJet,
+    central_fd_1,
+    central_fd_2_mixed,
+    cs_frechet_1,
+    cs_partial_2,
+    get_function,
+    hybrid_partial_2,
+    jet_from_directions,
+)
 
 
 def test_geometric_grid_descending():
-    g = geometric_grid(1e-1, 1e-9, 9)
+    g = ExperimentConfig(h_max=1e-1, h_min=1e-9, points=9).grid()
     assert g[0] == pytest.approx(1e-1)
     assert g[-1] == pytest.approx(1e-9)
     assert np.all(np.diff(g) < 0)
     with pytest.raises(DimensionMismatch):
-        geometric_grid(1e-9, 1e-1, 9)
+        ExperimentConfig(h_max=1e-9, h_min=1e-1, points=9).grid()
     with pytest.raises(DimensionMismatch):
-        geometric_grid(1e-1, 1e-9, 1)
+        ExperimentConfig(h_max=1e-1, h_min=1e-9, points=1).grid()
 
 
 def test_rel_error_values():
@@ -233,7 +241,7 @@ def test_compute_route_order_limits():
         compute_route("fd", f, jet, (3,))
     with pytest.raises(DimensionMismatch):
         compute_route("voodoo", f, jet, (1,))
-    assert set(CUSTOM_ROUTES) == {"blocktri", "frechet_sum", "dk", "cs", "hybrid", "fd"}
+    assert set(ROUTES) == {"blocktri", "frechet_sum", "dk", "cs", "hybrid", "fd"}
 
 
 def test_compute_route_dk_matches_blocktri_on_multilinear_jet():
@@ -247,3 +255,21 @@ def test_compute_route_dk_matches_blocktri_on_multilinear_jet():
     for alpha in ((1, 0), (1, 1), (2, 0), (0, 2)):
         ref = compute_route("blocktri", f, jet, alpha)
         assert rel_error(compute_route("dk", f, jet, alpha), ref) <= 1e-9
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-8])
+def test_stepped_wrappers_equal_their_table_entries(h):
+    # the public stepped wrappers are the table's cs, hybrid and fd, bit for bit
+    rng = np.random.default_rng(16)
+    n = 4
+    f = get_function("exp")
+    a, e = random_complex_matrix(rng, n), random_complex_matrix(rng, n)
+    line = jet_from_directions(a, [e])
+    assert np.array_equal(cs_frechet_1(f, a, e, h), ROUTES["cs"](f, line, (1,), h))
+    assert np.array_equal(central_fd_1(f, a, e, h), ROUTES["fd"](f, line, (1,), h))
+    terms = {t: random_complex_matrix(rng, n) for t in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0))}
+    jet = PathJet(terms=terms, order=2)
+    for alpha in ((1, 1), (2, 0)):
+        assert np.array_equal(cs_partial_2(f, jet, alpha, h), ROUTES["cs"](f, jet, alpha, h))
+        assert np.array_equal(hybrid_partial_2(f, jet, alpha, h), ROUTES["hybrid"](f, jet, alpha, h))
+        assert np.array_equal(central_fd_2_mixed(f, jet, h, alpha), ROUTES["fd"](f, jet, alpha, h))

@@ -4,9 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from matderiv import alpha_to_dirs, dirs_to_alpha, s_partitions, split_last, t_permutations
+from matderiv import s_partitions, t_permutations
 from matderiv.errors import DimensionMismatch, EmptyIndex
-from matderiv.multiindex import add, as_index, iter_sub_indices, order, resolve_request, unit
+from matderiv.multiindex import (
+    add,
+    alpha_to_dirs,
+    as_index,
+    dirs_to_alpha,
+    iter_sub_indices,
+    order,
+    resolve_request,
+    split_last,
+    unit,
+)
 
 
 def test_order_and_unit():
