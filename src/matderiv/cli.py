@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import namedtuple
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -28,21 +30,9 @@ from .experiments import (
     run_fig1,
     run_fig2,
 )
-from .funcs import FUNCTIONS
+from .funcs import ALIASES, FUNCTIONS
 from .matio import dumps_matrix, read_matrix
 from .multiindex import order, resolve_request
-
-_GRID_DEFAULTS = {
-    "fig1-real": dict(n=1, h_max=1e-1, h_min=1e-13, points=25),
-    "fig1-complex": dict(n=1, h_max=1e-1, h_min=1e-13, points=25),
-    "fig2": dict(n=3, h_max=1e-1, h_min=1e-8, points=15),
-    "density-demo": dict(n=6, h_max=1e-1, h_min=1e-8, points=15),
-    "custom": dict(n=3),
-}
-
-# density-demo needs a level on each side of mu: with one level, mu has no gap
-# to sit in and every density derivative it checks is zero
-_MIN_N = {"density-demo": 2}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,58 +44,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_shared(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit PCG64 generator)")
-    sp.add_argument("--n", type=int, default=None, help="matrix dimension")
-    sp.add_argument("--h-max", type=float, default=None, help="largest step in the grid")
-    sp.add_argument("--h-min", type=float, default=None, help="smallest step in the grid")
-    sp.add_argument("--points", type=int, default=None, help="number of grid points")
-    sp.add_argument("--out", type=str, default=None, help="output file (default: stdout)")
-    sp.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="zero the runtime column so equal seeds give identical bytes",
+# a flag is its name and its add_argument keywords, default included
+_SEED = ("--seed", dict(type=int, default=0, help="RNG seed (64-bit PCG64 generator)"))
+_OUT = ("--out", dict(type=str, default=None, help="output file (default: stdout)"))
+_MU = ("--mu", dict(type=float, default=None, help="chemical potential (default: widest gap)"))
+_DETERMINISTIC = ("--deterministic", dict(
+    action="store_true", help="zero the runtime column so equal seeds give identical bytes"))
+
+
+def _n(default: int) -> tuple[str, dict]:
+    return "--n", dict(type=int, default=default, help="matrix dimension")
+
+
+def _grid(h_min: float, points: int) -> tuple[tuple[str, dict], ...]:
+    return (
+        ("--h-max", dict(type=float, default=1e-1, help="largest step in the grid")),
+        ("--h-min", dict(type=float, default=h_min, help="smallest step in the grid")),
+        ("--points", dict(type=int, default=points, help="number of grid points")),
     )
-
-
-def build_parser() -> _Parser:
-    p = _Parser(prog="matderiv", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    for name, desc in [
-        ("fig1-real", "first-derivative convergence on the unit real scalar"),
-        ("fig1-complex", "first-derivative convergence on random complex scalars"),
-        ("fig2", "mixed second-derivative convergence on a random complex jet"),
-    ]:
-        sp = sub.add_parser(name, help=desc)
-        _add_shared(sp)
-
-    sp = sub.add_parser("density-demo", help="density-matrix and ground-state derivative checks")
-    _add_shared(sp)
-    sp.add_argument("--mu", type=float, default=None, help="chemical potential (default: widest gap)")
-
-    sp = sub.add_parser("custom", help="evaluate a derivative of a user-supplied jet")
-    _add_shared(sp)
-    sp.add_argument(
-        "--jet",
-        action="append",
-        metavar="INDEX=FILE",
-        help="jet term, e.g. --jet 0,0=base.txt --jet 1,0=d1.txt (repeatable)",
-    )
-    sp.add_argument(
-        "--function",
-        choices=sorted(FUNCTIONS) + ["identity", "x1", "x2", "x3"],
-        default="exp",
-    )
-    sp.add_argument("--alpha", type=str, default=None, help="multi-index, e.g. 1,1")
-    sp.add_argument("--dirs", type=str, default=None, help="direction list, e.g. 1,2")
-    sp.add_argument(
-        "--route",
-        action="append",
-        choices=list(ROUTES),
-        help="derivative route; repeat to cross-compare (default: blocktri)",
-    )
-    return p
 
 
 def _parse_index(text: str) -> tuple[int, ...]:
@@ -113,24 +69,16 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
-    defaults = _GRID_DEFAULTS[args.command]
-    n = args.n if args.n is not None else defaults["n"]
-    min_n = _MIN_N.get(args.command, 1)
-    if n < min_n:
-        raise DimensionMismatch(f"{args.command} needs --n >= {min_n}, got {n}")
-    if args.command == "custom":
-        # no grid: --h-max is the stepped routes' one step; --h-min and --points are unused
-        if args.h_max is not None and not 0.0 < args.h_max < math.inf:
-            raise ValueError(f"custom needs a finite step --h-max > 0, got {args.h_max}")
-        return ExperimentConfig(seed=args.seed, n=n, deterministic=args.deterministic)
-    return ExperimentConfig(
-        seed=args.seed,
-        n=n,
-        h_max=args.h_max if args.h_max is not None else defaults["h_max"],
-        h_min=args.h_min if args.h_min is not None else defaults["h_min"],
-        points=args.points if args.points is not None else defaults["points"],
-        deterministic=args.deterministic,
-    )
+    # knobs the subcommand has no flag for keep defaults that its runner does not read
+    names = {f.name for f in fields(ExperimentConfig)}
+    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
+
+
+def _density_config(args: argparse.Namespace) -> ExperimentConfig:
+    # mu needs a level on each side: with one level it has no gap to sit in
+    if args.n < 2:
+        raise DimensionMismatch(f"density-demo needs --n >= 2, got {args.n}")
+    return _config(args)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -154,6 +102,9 @@ def _read_jet_term(key: tuple[int, ...], path: str, dim: int | None) -> np.ndarr
 
 
 def _parse_custom_inputs(args: argparse.Namespace):
+    # no grid: --h-max is the stepped routes' one step
+    if args.h_max is not None and not 0.0 < args.h_max < math.inf:
+        raise ValueError(f"custom needs a finite step --h-max > 0, got {args.h_max}")
     if not args.jet:
         raise ValueError("custom needs at least one --jet INDEX=FILE term")
     terms = {}
@@ -168,9 +119,7 @@ def _parse_custom_inputs(args: argparse.Namespace):
         terms[key] = _read_jet_term(key, path, dim)
         dim = terms[key].shape[0]
     alpha_arg = _parse_index(args.alpha) if args.alpha else None
-    dirs_arg = _parse_index(args.dirs) if args.dirs else None
-    nvars = len(next(iter(terms)))
-    alpha, _ = resolve_request(alpha_arg, dirs_arg, nvars)
+    alpha, _ = resolve_request(alpha_arg, nvars=len(next(iter(terms))))
     jet = PathJet(terms=terms, order=max([order(alpha)] + [order(k) for k in terms]))
     routes = args.route or ["blocktri"]
     return jet, alpha, routes
@@ -197,7 +146,10 @@ def _cmd_fig2(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_density(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    result = run_density_demo(cfg, mu=args.mu)
+    try:
+        result = run_density_demo(cfg, mu=args.mu)
+    except ValueError as exc:  # the one input run_density_demo checks is mu
+        raise ValueError(f"--mu: {exc}") from exc
     _emit(checks_to_csv(result.checks), args.out)
     print(f"mu = {result.mu!r}, occupied levels = {result.n_occ}", file=sys.stderr)
     if not result.all_passed:
@@ -207,7 +159,7 @@ def _cmd_density(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_custom(args: argparse.Namespace, inputs) -> int:
+def _cmd_custom(inputs, args: argparse.Namespace) -> int:
     jet, alpha, routes = inputs
     result = run_custom(jet, args.function, routes, alpha, h=args.h_max)
     _emit(dumps_matrix(result.primary), args.out)
@@ -216,26 +168,63 @@ def _cmd_custom(args: argparse.Namespace, inputs) -> int:
     return 0
 
 
+# a subcommand: its help line, the flags its runner reads, the check that turns
+# them into the runner's input before anything is computed, and the runner
+_Command = namedtuple("_Command", "help flags check run")
+
+_FIG1_FLAGS = (_SEED, *_grid(1e-13, 25), _OUT, _DETERMINISTIC)
+_CUSTOM_FLAGS = (
+    _SEED,
+    _DETERMINISTIC,
+    _OUT,
+    ("--h-max", dict(type=float, default=None,
+                     help="stepped routes' step (default: 1e-5, or 1e-8 at order 1 but for fd)")),
+    ("--jet", dict(action="append", metavar="INDEX=FILE",
+                   help="jet term, e.g. --jet 0,0=base.txt --jet 1,0=d1.txt (repeatable)")),
+    ("--function", dict(choices=sorted(FUNCTIONS) + sorted(ALIASES), default="exp")),
+    ("--alpha", dict(type=str, default=None, help="multi-index, e.g. 1,1")),
+    ("--route", dict(action="append", choices=list(ROUTES),
+                     help="derivative route; repeat to cross-compare (default: blocktri)")),
+)
+_COMMANDS = {
+    "fig1-real": _Command("first-derivative convergence on the unit real scalar",
+                          _FIG1_FLAGS, _config, _cmd_fig1),
+    "fig1-complex": _Command("first-derivative convergence on random complex scalars",
+                             _FIG1_FLAGS, _config, _cmd_fig1),
+    "fig2": _Command("mixed second-derivative convergence on a random complex jet",
+                     (_SEED, _n(3), *_grid(1e-8, 15), _OUT, _DETERMINISTIC), _config, _cmd_fig2),
+    "density-demo": _Command("density-matrix and ground-state derivative checks",
+                             (_SEED, _n(6), _MU, _OUT, _DETERMINISTIC),
+                             _density_config, _cmd_density),
+    "custom": _Command("evaluate a derivative of a user-supplied jet",
+                       _CUSTOM_FLAGS, _parse_custom_inputs, _cmd_custom),
+}
+
+
+def build_parser() -> _Parser:
+    p = _Parser(prog="matderiv", description=__doc__.splitlines()[0])
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for flag, kwargs in command.flags:
+            sp.add_argument(flag, **kwargs)
+    return p
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = _COMMANDS[args.command]
     try:
-        cfg = _config(args)
-        custom_inputs = _parse_custom_inputs(args) if args.command == "custom" else None
+        checked = command.check(args)
     except (MatDerivError, ValueError, OSError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command.startswith("fig1-"):
-            return _cmd_fig1(cfg, args)
-        if args.command == "fig2":
-            return _cmd_fig2(cfg, args)
-        if args.command == "density-demo":
-            return _cmd_density(cfg, args)
-        return _cmd_custom(args, custom_inputs)
+        return command.run(checked, args)
     except ReferenceValidationFailed as exc:
         print(f"reference validation failed: {exc}", file=sys.stderr)
         return 3

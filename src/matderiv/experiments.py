@@ -45,6 +45,9 @@ REFERENCE_FD_STEP = 1e-3
 # fit_order's window over h
 FIT_H_LO = 1e-4
 FIT_H_HI = 1e-1
+# density-demo's memory grows as n^3 (about 260 MB at n = 250); grids are built up front
+MAX_N = 250
+MAX_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,14 @@ class ExperimentConfig:
     deterministic: bool = False
 
     def __post_init__(self) -> None:
-        if self.points < 2:
-            raise DimensionMismatch(f"need at least 2 grid points, got {self.points}")
-        if not (0.0 < self.h_min < self.h_max):
+        if not 2 <= self.points <= MAX_POINTS:
+            raise DimensionMismatch(f"need 2 to {MAX_POINTS} grid points, got {self.points}")
+        if not (0.0 < self.h_min < self.h_max < math.inf):
             raise DimensionMismatch(
-                f"need 0 < h_min < h_max, got h_min={self.h_min}, h_max={self.h_max}"
+                f"need 0 < h_min < h_max < inf, got h_min={self.h_min}, h_max={self.h_max}"
             )
-        if self.n < 1:
-            raise DimensionMismatch(f"matrix dimension must be positive, got {self.n}")
+        if not 1 <= self.n <= MAX_N:
+            raise DimensionMismatch(f"matrix dimension must be 1 to {MAX_N}, got {self.n}")
 
     def grid(self) -> np.ndarray:
         """Strictly decreasing geometric grid from h_max down to h_min."""
@@ -416,6 +419,10 @@ def run_density_demo(config: ExperimentConfig, mu: float | None = None) -> Densi
     d = hermitian_eig(h0)
     if mu is None:
         mu = _widest_gap_mu(d.eigenvalues)
+    lo, hi = float(d.eigenvalues[0]), float(d.eigenvalues[-1])
+    if not lo < mu < hi:
+        # with every level on one side the density is 0 or I and its derivatives vanish
+        raise ValueError(f"mu = {mu!r} must lie between the levels {lo!r} and {hi!r}")
     step = step_function(mu)
 
     p0 = density_matrix(d, mu)

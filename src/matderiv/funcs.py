@@ -115,11 +115,12 @@ FUNCTIONS: dict[str, MatrixFunction] = {
     "x^3": MatrixFunction(scalar=SCALAR_X3, apply=_matpow(3)),
 }
 
-_ALIASES = {"x1": "x^1", "identity": "x^1", "x2": "x^2", "x3": "x^3"}
+# further names get_function accepts, each for an entry of FUNCTIONS
+ALIASES = {"x1": "x^1", "identity": "x^1", "x2": "x^2", "x3": "x^3"}
 
 
 def get_function(name: str) -> MatrixFunction:
-    key = _ALIASES.get(name, name)
+    key = ALIASES.get(name, name)
     if key not in FUNCTIONS:
         raise KeyError(f"unknown function {name!r}; choices: {sorted(FUNCTIONS)}")
     return FUNCTIONS[key]

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, CSV output, custom jets."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 from matderiv import experiments, hermitian_eig, loads_matrix, write_matrix
-from matderiv.cli import main
+from matderiv import cli
+from matderiv.cli import build_parser, main
+from matderiv.funcs import ALIASES, FUNCTIONS, get_function
 from matderiv.experiments import random_complex_matrix, random_hermitian
 
 
@@ -79,6 +82,68 @@ def test_bad_grid_is_config_error(capsys):
     assert "configuration error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig2", "--points", "100000000000"],
+        ["fig2", "--n", "1000000"],
+        ["fig1-real", "--h-max", "inf"],
+        ["fig2", "--h-max", "inf"],
+    ],
+    ids=["points-too-many", "n-too-large", "fig1-h-max-inf", "fig2-h-max-inf"],
+)
+def test_sweep_beyond_bounds_is_config_error(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+_FLAGS = {
+    "fig1-real": {"--seed", "--h-max", "--h-min", "--points", "--out", "--deterministic"},
+    "fig1-complex": {"--seed", "--h-max", "--h-min", "--points", "--out", "--deterministic"},
+    "fig2": {"--seed", "--n", "--h-max", "--h-min", "--points", "--out", "--deterministic"},
+    "density-demo": {"--seed", "--n", "--mu", "--out", "--deterministic"},
+    "custom": {"--seed", "--deterministic", "--out", "--h-max", "--jet", "--function", "--alpha",
+               "--route"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_subcommand_takes_only_its_flags(capsys, command):
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed - {"--help"} == _FLAGS[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1-real", "--n", "2"],
+        ["fig1-complex", "--n", "2"],
+        ["density-demo", "--h-max", "1"],
+        ["density-demo", "--h-min", "1e-9"],
+        ["density-demo", "--points", "5"],
+        ["custom", "--alpha", "1", "--n", "3"],
+        ["custom", "--alpha", "1", "--h-min", "1e-9"],
+        ["custom", "--alpha", "1", "--points", "1"],
+        ["custom", "--dirs", "1"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]),
+)
+def test_removed_flag_is_config_error(capsys, argv):
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_function_choices_are_the_names_get_function_accepts():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    action = next(a for a in sub.choices["custom"]._actions if a.dest == "function")
+    assert set(action.choices) == set(FUNCTIONS) | set(ALIASES)
+    for name in action.choices:
+        get_function(name)
+    with pytest.raises(KeyError):
+        get_function("x4")
+
+
 def test_density_demo_passes(capsys):
     code = main(["density-demo"])
     captured = capsys.readouterr()
@@ -96,6 +161,26 @@ def test_density_demo_needs_two_levels(capsys, extra, n):
     assert main(["density-demo", "--n", n] + extra) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "--n >= 2" in err
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf", "1e300"])
+def test_density_demo_mu_outside_levels_is_input_error(capsys, mu):
+    # every level on one side of mu: no gap to sit in, every derivative zero
+    assert main(["density-demo", "--mu", mu]) == 1
+    err = capsys.readouterr().err
+    assert "--mu" in err and "between the levels" in err
+
+
+def test_density_demo_failed_check_exit_code(monkeypatch, capsys):
+    failing = experiments.DensityDemoResult(
+        checks=[experiments.CheckRecord("p1_vs_fd", 2e-5, 1e-5, False)], mu=0.5, n_occ=3
+    )
+    monkeypatch.setattr(cli, "run_density_demo", lambda cfg, mu: failing)
+    code = main(["density-demo"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines()[1].endswith(",fail")
+    assert "failed checks: p1_vs_fd" in captured.err
 
 
 def test_density_demo_mu_on_eigenvalue(capsys):
@@ -142,7 +227,7 @@ def test_custom_cross_route_comparison(tmp_path, capsys):
         "--jet", f"0={base}",
         "--jet", f"1={dirn}",
         "--function", "exp",
-        "--dirs", "1",
+        "--alpha", "1",
         "--route", "blocktri",
         "--route", "dk",
     ])
@@ -284,29 +369,31 @@ def test_custom_empty_jet_terms_are_config_error(tmp_path, capsys, route):
     assert "configuration error" in err and "0x0" in err
 
 
-def _custom_two_var(tmp_path, jet_keys, alpha):
-    """Run custom on a random two-variable jet with the given term keys."""
+def _custom_two_var(tmp_path, jet_keys, alpha, sep="="):
+    """Run custom on a random two-variable jet with the given term keys,
+    each joined to its file by ``sep``."""
     rng = np.random.default_rng(27)
     args = ["custom", "--alpha", alpha]
     for key in jet_keys:
         path = tmp_path / f"t{key.replace(',', '_')}.txt"
         write_matrix(path, random_hermitian(rng, 3))
-        args += ["--jet", f"{key}={path}"]
+        args += ["--jet", f"{key}{sep}{path}"]
     return main(args)
 
 
 @pytest.mark.parametrize(
-    "jet_keys,alpha",
+    "jet_keys,alpha,sep",
     [
-        (("0,0", "1", "0,1"), "1,1"),  # keys of mixed length
-        (("1,0", "0,1", "1,1"), "1,1"),  # no base term
-        (("0,0", "1,0", "0,1"), "0,0"),  # order zero
-        (("0,0", "1,0", "0,1"), "1,0,0"),  # alpha longer than the jet
+        (("0,0", "1", "0,1"), "1,1", "="),  # keys of mixed length
+        (("1,0", "0,1", "1,1"), "1,1", "="),  # no base term
+        (("0,0", "1,0", "0,1"), "0,0", "="),  # order zero
+        (("0,0", "1,0", "0,1"), "1,0,0", "="),  # alpha longer than the jet
+        (("0,0", "1,0", "0,1"), "1,1", ":"),  # no INDEX=FILE split
     ],
-    ids=["mixed-key-lengths", "no-base", "order-zero", "alpha-too-long"],
+    ids=["mixed-key-lengths", "no-base", "order-zero", "alpha-too-long", "jet-without-equals"],
 )
-def test_custom_malformed_request_is_config_error(tmp_path, capsys, jet_keys, alpha):
-    assert _custom_two_var(tmp_path, jet_keys, alpha) == 1
+def test_custom_malformed_request_is_config_error(tmp_path, capsys, jet_keys, alpha, sep):
+    assert _custom_two_var(tmp_path, jet_keys, alpha, sep) == 1
     assert "configuration error" in capsys.readouterr().err
 
 
@@ -337,8 +424,7 @@ def test_custom_stepped_routes_above_order_two(tmp_path, capsys):
 
 def test_custom_non_finite_step_is_route_error(tmp_path, capsys):
     # h^2 underflows: the stepped quotient is not finite and is refused
-    # (custom has no grid, so --h-min is accepted and ignored)
-    step = ["--route", "cs", "--h-max", "1e-170", "--h-min", "1e-200"]
+    step = ["--route", "cs", "--h-max", "1e-170"]
     with pytest.warns(RuntimeWarning, match="to the power 2"):
         code = _custom_full_jet(tmp_path, (1, 1), step)
     assert code == 2
@@ -347,10 +433,8 @@ def test_custom_non_finite_step_is_route_error(tmp_path, capsys):
 
 
 def test_custom_step_below_grid_floor_runs(tmp_path, capsys):
-    # custom has no grid: a step below the sweeps' default h_min needs no
-    # --h-min, and --h-min above it or --points 1 are ignored
-    routes = ["--route", "blocktri", "--route", "cs", "--h-max", "1e-9", "--h-min", "1e-3",
-              "--points", "1"]
+    # custom has no grid: a step below the sweeps' default h_min runs
+    routes = ["--route", "blocktri", "--route", "cs", "--h-max", "1e-9"]
     assert _custom_full_jet(tmp_path, (1, 1), routes) == 0
     compare = [l for l in capsys.readouterr().err.splitlines() if l.startswith("compare,")]
     assert len(compare) == 1 and float(compare[0].split(",")[3]) <= 1e-6

@@ -1,4 +1,6 @@
 """Experiment runners, CSV serialization, and the route dispatcher."""
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from matderiv.errors import (
 )
 from matderiv import experiments
 from matderiv.experiments import (
+    MAX_N,
+    MAX_POINTS,
     ROUTES,
     CheckRecord,
     ConvergenceRecord,
@@ -101,6 +105,18 @@ def test_config_validation():
         ExperimentConfig(h_max=1e-9, h_min=1e-1)
     with pytest.raises(DimensionMismatch):
         ExperimentConfig(n=0)
+    # beyond what a run can hold: an unbounded grid, a huge matrix, an infinite step
+    for bad in (
+        dict(points=MAX_POINTS + 1),
+        dict(points=10**11),
+        dict(n=MAX_N + 1),
+        dict(n=10**6),
+        dict(h_max=math.inf),
+        dict(h_max=math.nan),
+    ):
+        with pytest.raises(DimensionMismatch):
+            ExperimentConfig(**bad)
+    ExperimentConfig(n=MAX_N, points=MAX_POINTS)
 
 
 def test_random_matrix_draw_order():
@@ -187,6 +203,12 @@ def test_run_density_demo_all_checks_pass():
             "q2_vs_fd",
         ]
         assert 0 < result.n_occ < n
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, 1e300, -1e300])
+def test_run_density_demo_needs_a_level_on_each_side_of_mu(mu):
+    with pytest.raises(ValueError, match="between the levels"):
+        run_density_demo(ExperimentConfig(seed=0, n=6), mu=mu)
 
 
 def test_run_custom_identity_returns_term():
