@@ -15,13 +15,14 @@ derivatives, giving two independent exact routes.
 The shifts commute, so f(X) lies in the same truncated polynomial
 algebra as X and is fixed by its coefficients. ``matrix_exp`` and
 ``matrix_cos`` evaluate an embedding of shifts alone on the
-coefficients: a product costs prod s_i (s_i + 1) / 2 n x n products, 18
-at alpha = (2, 1) and 27 at (1, 1, 1), where a block upper triangular
-product of the dense matrix costs 56 and 120. A jet whose coefficients
-are all upper triangular (every n = 1 jet) is evaluated as its dense
-matrix, which is then upper triangular, so the exact triangular rule of
-``matrix_exp`` keeps it exact. An embedding with an ``IMAG`` unit, and
-every other callable, sees the dense matrix.
+coefficients and return f(X) as an element, so composed with each other
+they stay in the algebra. A product costs prod s_i (s_i + 1) / 2 n x n
+products, 18 at alpha = (2, 1) and 27 at (1, 1, 1), where a block upper
+triangular product of the dense matrix costs 56 and 120. A jet whose
+coefficients are all upper triangular (every n = 1 jet) is evaluated as
+its dense matrix, which is then upper triangular, so the exact
+triangular rule of ``matrix_exp`` keeps it exact. An embedding with an
+``IMAG`` unit, and every other callable, sees the dense matrix.
 """
 from __future__ import annotations
 
@@ -43,7 +44,9 @@ from .errors import (
 from .linalg import IMAG, ShiftJet, as_matrix, extract_block
 from .multiindex import (
     MultiIndex,
+    alpha_to_dirs,
     as_index,
+    factorial,
     order,
     resolve_request,
     s_partitions,
@@ -130,29 +133,22 @@ def jet_from_directions(a0: np.ndarray, es: Sequence[np.ndarray]) -> PathJet:
     return PathJet(terms=terms, order=k, missing_is_zero=True)
 
 
-def _factorial(alpha: Sequence[int]) -> int:
-    return math.prod(math.factorial(v) for v in alpha)
-
-
 def _jet_coeffs(
-    jet: PathJet, dirs: Sequence[int], stepped: int = 0, h: float = 1.0
+    jet: PathJet, alpha: Sequence[int], stepped: int = 0, h: float = 1.0
 ) -> tuple[dict, list[int]]:
-    """Coefficients and units of the embedding of ``jet`` along ``dirs``.
+    """Coefficients and units of the embedding of ``jet`` for multi-index ``alpha``.
 
-    Exact copies, all but the last ``stepped``, share one shift of size
-    a + 1 per variable (a its count), the inner digits; each stepped copy
-    gets an outer IMAG unit. Shift digits s and imaginary digit set S
-    carry h^|S| A_{s+t(S)} / s!.
+    Exact copies of alpha's ascending directions, all but the last
+    ``stepped``, share one shift of size a + 1 per variable (a its count),
+    the inner digits; each stepped copy gets an outer IMAG unit. Shift
+    digits s and imaginary digit set S carry h^|S| A_{s+t(S)} / s!.
     """
-    dirs = tuple(int(d) for d in dirs)
+    dirs = alpha_to_dirs(alpha)
     k = len(dirs)
     if k < 1:
-        raise EmptyIndex("need at least one direction")
+        raise EmptyIndex("derivative request must have order >= 1")
     if k > MAX_ORDER:
         raise OrderExceeded(f"order {k} exceeds the supported maximum {MAX_ORDER}")
-    for d in dirs:
-        if not 1 <= d <= jet.nvars:
-            raise DimensionMismatch(f"direction {d} out of range 1..{jet.nvars}")
     exact, steps = dirs[:k - stepped], dirs[k - stepped:]
     variables = tuple(dict.fromkeys(exact))
     counts = tuple(exact.count(v) for v in variables)
@@ -160,9 +156,9 @@ def _jet_coeffs(
     subsets = [S[::-1] for S in itertools.product((0, 1), repeat=stepped)]
     coeffs = {}
     for s in itertools.product(*(range(c + 1) for c in counts)):
-        w = _factorial(s)
+        w = factorial(s)
         for S in subsets:
-            t = [0] * jet.nvars
+            t = [0] * len(alpha)
             for v, d in zip(variables + steps, s + S):
                 t[v - 1] += d
             c = jet.term(tuple(t))
@@ -173,31 +169,25 @@ def _jet_coeffs(
 
 
 def _corner(
-    f: MatrixCallable, jet: PathJet, dirs: Sequence[int], stepped: int = 0, h: float = 1.0
+    f: MatrixCallable, jet: PathJet, alpha: Sequence[int], stepped: int = 0, h: float = 1.0
 ) -> np.ndarray:
     """a! times the top-right block of f of the embedding: the derivative times
     h^stepped, up to O(h^2)."""
-    x = ShiftJet(*_jet_coeffs(jet, dirs, stepped, h))
+    x = ShiftJet(*_jet_coeffs(jet, alpha, stepped, h))
     corner = extract_block(f(x), 0, x.shape[0] // jet.dim - 1, jet.dim)
-    w = _factorial([u - 1 for u in x.units if u != IMAG])
+    w = factorial([u - 1 for u in x.units if u != IMAG])
     return corner * w if w > 1 else corner
 
 
-def partial_via_blocktri(
-    f: MatrixCallable,
-    jet: PathJet,
-    alpha: Sequence[int] | None = None,
-    dirs: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Mixed partial derivative of f(A(x)) read off one block evaluation.
+def partial_via_blocktri(f: MatrixCallable, jet: PathJet, alpha: Sequence[int]) -> np.ndarray:
+    """Mixed partial derivative ``alpha`` of f(A(x)) read off one block evaluation.
 
     f gets the embedding as a ``ShiftJet``: the dense matrix, read-only,
-    carrying its coefficients, so that ``matrix_exp`` and ``matrix_cos``
-    evaluate it in the algebra of shifts and every other callable sees
-    the dense matrix.
+    carrying its coefficients. ``matrix_exp`` and ``matrix_cos`` evaluate
+    it in the algebra of shifts and return an element; every other
+    callable sees the dense matrix.
     """
-    _, d = resolve_request(alpha, dirs, jet.nvars)
-    return _corner(f, jet, d)
+    return _corner(f, jet, resolve_request(alpha, jet.nvars))
 
 
 def frechet_via_blocktri(
@@ -208,11 +198,9 @@ def frechet_via_blocktri(
     Directions that are the same object share one variable, so
     D^3 f[E, E, E] is one third-order partial on a 4n embedding.
     """
-    index: dict[int, int] = {}
-    dirs = [index.setdefault(id(e), len(index) + 1) for e in es]
+    counts = Counter(map(id, es))
     distinct = list({id(e): e for e in es}.values())
-    jet = jet_from_directions(a0, distinct)
-    return partial_via_blocktri(f, jet, dirs=dirs)
+    return partial_via_blocktri(f, jet_from_directions(a0, distinct), tuple(counts.values()))
 
 
 def partial_via_frechet_sum(

@@ -43,6 +43,15 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    def _parse_optional(self, arg_string):
+        # argparse takes only -N and -N.N as numbers, so "--mu -1e-3" would read
+        # -1e-3 as a flag; no flag here parses as a float, so every float is a value
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 # a flag is its name and its add_argument keywords, default included
 _SEED = ("--seed", dict(type=int, default=0, help="RNG seed (64-bit PCG64 generator)"))
@@ -118,8 +127,9 @@ def _parse_custom_inputs(args: argparse.Namespace):
             raise ValueError(f"{path}: jet term {key} given twice")
         terms[key] = _read_jet_term(key, path, dim)
         dim = terms[key].shape[0]
-    alpha_arg = _parse_index(args.alpha) if args.alpha else None
-    alpha, _ = resolve_request(alpha_arg, nvars=len(next(iter(terms))))
+    if not args.alpha:
+        raise ValueError("custom needs --alpha, the multi-index to differentiate, e.g. 1,1")
+    alpha = resolve_request(_parse_index(args.alpha), len(next(iter(terms))))
     jet = PathJet(terms=terms, order=max([order(alpha)] + [order(k) for k in terms]))
     routes = args.route or ["blocktri"]
     return jet, alpha, routes

@@ -53,18 +53,18 @@ def _over_step(top, h: float, k: int, base, scale: float = 1.0, stacklevel: int 
 
 def _block_step(f: MatrixCallable, jet: PathJet, alpha, h: float, stepped: int) -> np.ndarray:
     """Derivative ``alpha`` from one f of the embedding stepping the last ``stepped`` copies."""
-    _, dirs = resolve_request(alpha, None, jet.nvars)
-    return _over_step(_corner(f, jet, dirs, stepped, h), h, stepped, jet.base)
+    top = _corner(f, jet, resolve_request(alpha, jet.nvars), stepped, h)
+    return _over_step(top, h, stepped, jet.base)
 
 
 def _central_fd(f: MatrixCallable, jet: PathJet, alpha, h: float) -> np.ndarray:
     """Derivative ``alpha`` from the 2^k sign corners of the all-stepped
     coefficients, each imaginary unit realised as j = +1 and j = -1."""
-    a, dirs = resolve_request(alpha, None, jet.nvars)
-    k = len(dirs)
+    a = resolve_request(alpha, jet.nvars)
+    k = order(a)
     if k > 2:
         raise DimensionMismatch(f"route fd supports |alpha| <= 2, got {a}")
-    coeffs, _ = _jet_coeffs(jet, dirs, k, h)
+    coeffs, _ = _jet_coeffs(jet, a, k, h)
     total = None
     for signs in itertools.product((1, -1), repeat=k):
         x = None

@@ -8,6 +8,7 @@ numpy broadcasting accidents.
 ``ShiftJet`` builds every block embedding X = sum_t C_t (x) u^t, each unit
 a nilpotent shift (u^s = 0) or ``IMAG`` (u^2 = -1); one signed product
 table gives both its dense image and products of coefficient stacks.
+``matrix_exp`` and ``matrix_cos`` return an element for an element.
 
 ``matrix_exp`` is a numpy-only scaling-and-squaring Pade method after
 Al-Mohy & Higham, "A new scaling and squaring algorithm for the matrix
@@ -277,10 +278,11 @@ class ShiftJet(np.ndarray):
     A missing coefficient is zero. The array is read-only, so the matrix
     cannot drift from the coefficients it keeps, stacked by flat index (see
     ``_shift_table``), in ``coeffs``. ``matrix_exp`` and ``matrix_cos``
-    evaluate X in the algebra from them when no unit is IMAG; every other
-    case sees the dense matrix. Arrays derived from it (views, products)
-    carry no coefficients. A coefficient that does not fit the units or is
-    not n x n, or no coefficient at all, raises DimensionMismatch.
+    evaluate X in the algebra from them when no unit is IMAG, returning a
+    ShiftJet; every other case sees the dense matrix. Arrays derived from
+    it (views, products) carry no coefficients. A coefficient that does
+    not fit the units or is not n x n, or no coefficient at all, raises
+    DimensionMismatch.
     """
 
     def __new__(cls, coeffs, units):
@@ -300,14 +302,19 @@ class ShiftJet(np.ndarray):
             if np.shape(c) != (n, n):
                 raise DimensionMismatch(f"coefficient {tuple(t)} has shape {np.shape(c)}, not ({n}, {n})")
             stack[sum(d * st for d, st in zip(t, strides))] = c
-        stack.flags.writeable = False
-        x = _image(stack, _shift_table(units)[0]).view(cls)
-        x.coeffs, x.units = stack, units
-        x.flags.writeable = False
-        return x
+        return _shift_jet(stack, units)
 
     def __array_finalize__(self, obj) -> None:
         self.coeffs, self.units = None, ()
+
+
+def _shift_jet(stack: np.ndarray, units: tuple[int, ...]) -> ShiftJet:
+    """The element with coefficient stack ``stack`` over ``units``; both are read-only after."""
+    stack.flags.writeable = False
+    x = _image(stack, _shift_table(units)[0]).view(ShiftJet)
+    x.coeffs, x.units = stack, units
+    x.flags.writeable = False
+    return x
 
 
 def _element(a) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -493,19 +500,20 @@ def _expm(c: np.ndarray, sizes: tuple[int, ...], pair: bool = False) -> list[np.
 def matrix_exp(a) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring Pade).
 
-    A ShiftJet is evaluated in its algebra; the result is a dense matrix
-    either way.
+    A ShiftJet evaluated in its algebra gives a ShiftJet over the same
+    units; every other input gives a plain matrix.
     """
     c, sizes = _element(a)
     e = _require_finite(_expm(c, sizes)[0], "matrix_exp")
-    return _image(e, _shift_table(sizes)[0])
+    return _shift_jet(e, sizes) if sizes else e[0]
 
 
 def matrix_cos(a) -> np.ndarray:
     """Matrix cosine ``(exp(iA) + exp(-iA)) / 2``, both from one Pade evaluation."""
     c, sizes = _element(a)
     e_pos, e_neg = _expm(1j * c, sizes, pair=True)
-    return _image(_require_finite(0.5 * (e_pos + e_neg), "matrix_cos"), _shift_table(sizes)[0])
+    e = _require_finite(0.5 * (e_pos + e_neg), "matrix_cos")
+    return _shift_jet(e, sizes) if sizes else e[0]
 
 
 def extract_block(x: np.ndarray, i: int, j: int, n: int) -> np.ndarray:

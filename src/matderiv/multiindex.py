@@ -1,8 +1,8 @@
 """Multi-index bookkeeping for mixed partial derivatives.
 
 A multi-index is a tuple of nonnegative ints, one entry per path variable.
-Directions are numbered from 1, so a direction sequence ``(1, 1, 2)``
-corresponds to the multi-index ``(2, 1)``.
+Every derivative request is one. Directions are numbered from 1, so the
+multi-index ``(2, 1)`` has the direction sequence ``(1, 1, 2)``.
 
 ``s_partitions`` enumerates the unordered ways of writing a multi-index as
 a sum of k nonzero multi-indices, as a multiset: partitions that arise more
@@ -13,6 +13,7 @@ member, so its length is always k! times the partition count.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch, EmptyIndex
@@ -63,17 +64,9 @@ def split_last(alpha: Sequence[int]) -> tuple[MultiIndex, MultiIndex]:
     return beta, gamma
 
 
-def dirs_to_alpha(dirs: Sequence[int], nvars: int | None = None) -> MultiIndex:
-    """Count directions into a multi-index. Directions are 1-based."""
-    dirs = tuple(int(d) for d in dirs)
-    if nvars is None:
-        nvars = max(dirs) if dirs else 1
-    counts = [0] * nvars
-    for d in dirs:
-        if not 1 <= d <= nvars:
-            raise DimensionMismatch(f"direction {d} out of range 1..{nvars}")
-        counts[d - 1] += 1
-    return tuple(counts)
+def factorial(alpha: Sequence[int]) -> int:
+    """alpha! = prod_i alpha_i!."""
+    return math.prod(math.factorial(v) for v in alpha)
 
 
 def alpha_to_dirs(alpha: Sequence[int]) -> tuple[int, ...]:
@@ -127,35 +120,18 @@ def s_partitions(alpha: Sequence[int], k: int) -> list[tuple[MultiIndex, ...]]:
     return _canonical(out)
 
 
-def resolve_request(
-    alpha: Sequence[int] | None = None,
-    dirs: Sequence[int] | None = None,
-    nvars: int | None = None,
-) -> tuple[MultiIndex, tuple[int, ...]]:
-    """Normalize a derivative request given as a multi-index, a direction
-    sequence, or both (checked for consistency).
+def resolve_request(alpha: Sequence[int], nvars: int) -> MultiIndex:
+    """Normalize a derivative request on a path of ``nvars`` variables.
 
-    With ``nvars`` given, a multi-index of another length raises
-    DimensionMismatch; a request of order zero raises EmptyIndex.
+    A multi-index of another length raises DimensionMismatch; a request of
+    order zero raises EmptyIndex.
     """
-    if alpha is None and dirs is None:
-        raise DimensionMismatch("a derivative request needs alpha or dirs")
-    if alpha is None:
-        d = tuple(int(v) for v in dirs)
-        a = dirs_to_alpha(d, nvars)
-    else:
-        a = as_index(alpha)
-        if nvars is not None and len(a) != nvars:
-            raise DimensionMismatch(f"multi-index {a} has {len(a)} entries, expected {nvars}")
-        if dirs is None:
-            d = alpha_to_dirs(a)
-        else:
-            d = tuple(int(v) for v in dirs)
-            if dirs_to_alpha(d, len(a)) != a:
-                raise DimensionMismatch(f"dirs {d} do not realize multi-index {a}")
+    a = as_index(alpha)
+    if len(a) != nvars:
+        raise DimensionMismatch(f"multi-index {a} has {len(a)} entries, expected {nvars}")
     if order(a) == 0:
         raise EmptyIndex("derivative request must have order >= 1")
-    return a, d
+    return a
 
 
 def t_permutations(alpha: Sequence[int], k: int) -> list[tuple[MultiIndex, ...]]:

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import DegenerateGroundState, DimensionMismatch, DomainError, EmptyIndex, TooCloseToMu
 from .funcs import ScalarFunction
 from .linalg import SpectralDecomp, require_hermitian
-from .multiindex import MultiIndex, as_index, iter_sub_indices, order
+from .multiindex import MultiIndex, as_index, factorial, iter_sub_indices, order
 
 GAP_MIN = 1e-8
 
@@ -92,10 +92,6 @@ def _minus(t: MultiIndex, s: MultiIndex) -> MultiIndex:
     return tuple(a - b for a, b in zip(t, s))
 
 
-def _factorial(t: MultiIndex) -> int:
-    return math.prod(math.factorial(v) for v in t)
-
-
 def _recursion(d: SpectralDecomp, terms: Mapping[MultiIndex, object], alpha: MultiIndex,
                mu: float) -> Blocks:
     """Blocks of P_alpha. ``terms`` maps nonzero indices to H_t; absent ones are zero."""
@@ -116,7 +112,7 @@ def _recursion(d: SpectralDecomp, terms: Mapping[MultiIndex, object], alpha: Mul
             if h is None:
                 rotated[s] = None
             else:
-                u = d.to_eigenbasis(h) / _factorial(s)
+                u = d.to_eigenbasis(h) / factorial(s)
                 rotated[s] = (u[o, o], u[o, w], u[w, w])
         return rotated[s]
 
@@ -126,7 +122,7 @@ def _recursion(d: SpectralDecomp, terms: Mapping[MultiIndex, object], alpha: Mul
         # [K_t, P_0]_ow = -(K_t)_ow; the top term needs no other block
         if t == alpha and order(t) > 1:
             h = terms.get(t)
-            top = None if h is None else d.to_eigenbasis_block(h, o, w) / _factorial(t)
+            top = None if h is None else d.to_eigenbasis_block(h, o, w) / factorial(t)
         else:
             kt = k_blocks(t)
             top = None if kt is None else kt[1]
@@ -176,7 +172,7 @@ def _density(d: SpectralDecomp, terms: Mapping[MultiIndex, object], alpha: Multi
     if oo is not None:
         full[:ne, :ne] = oo
         full[ne:, ne:] = ww
-    return _factorial(alpha) * d.from_eigenbasis(full)
+    return factorial(alpha) * d.from_eigenbasis(full)
 
 
 def density_response(

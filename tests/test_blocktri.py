@@ -25,7 +25,7 @@ from matderiv.errors import (
 )
 from matderiv.blocktri import _jet_coeffs
 from matderiv.linalg import ShiftJet, extract_block, frobenius
-from matderiv.multiindex import alpha_to_dirs, iter_sub_indices
+from matderiv.multiindex import iter_sub_indices
 
 
 def rand_complex(rng, n):
@@ -83,7 +83,7 @@ def test_build_xk_two_levels_layout():
     ab = jet.term((1, 0))
     ag = jet.term((0, 1))
     ax = jet.term((1, 1))
-    x = ShiftJet(*_jet_coeffs(jet, (1, 2)))
+    x = ShiftJet(*_jet_coeffs(jet, (1, 1)))
     z = np.zeros((n, n))
     # first direction on the inner doubling, second on the outer
     expected = np.block([
@@ -103,7 +103,7 @@ def test_build_xk_repeated_direction():
     a = jet.term((0,))
     a1 = jet.term((1,))
     a2 = jet.term((2,))
-    x = ShiftJet(*_jet_coeffs(jet, (1, 1)))
+    x = ShiftJet(*_jet_coeffs(jet, (2,)))
     z = np.zeros((n, n))
     expected = np.block([
         [a, a1, a2 / 2],
@@ -116,7 +116,7 @@ def test_build_xk_repeated_direction():
 def test_build_xk_zero_directions_block_diagonal():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     jet = PathJet(terms={(0,): a}, order=2, missing_is_zero=True)
-    x = ShiftJet(*_jet_coeffs(jet, (1, 1)))
+    x = ShiftJet(*_jet_coeffs(jet, (2,)))
     np.testing.assert_array_equal(x, np.kron(np.eye(3), a.astype(complex)))
 
 
@@ -125,7 +125,7 @@ def test_build_xk_minimal_size(alpha):
     rng = np.random.default_rng(20)
     n = 2
     jet = complete_jet(rng, n, alpha)
-    x = ShiftJet(*_jet_coeffs(jet, alpha_to_dirs(alpha)))
+    x = ShiftJet(*_jet_coeffs(jet, alpha))
     assert x.shape[0] == np.prod([a + 1 for a in alpha]) * n
 
 
@@ -230,7 +230,7 @@ def test_other_callables_get_the_dense_matrix(alpha, fact):
     rng = np.random.default_rng(25)
     n = 3
     jet = complete_jet(rng, n, alpha)
-    dense = ShiftJet(*_jet_coeffs(jet, alpha_to_dirs(alpha)))
+    dense = ShiftJet(*_jet_coeffs(jet, alpha))
     last = dense.shape[0] // n - 1
     seen = []
 
@@ -250,12 +250,12 @@ def test_other_callables_get_the_dense_matrix(alpha, fact):
 def test_build_xk_validates_input():
     jet = PathJet(terms={(0,): np.eye(2)}, order=1, missing_is_zero=True)
     with pytest.raises(EmptyIndex):
-        ShiftJet(*_jet_coeffs(jet, ()))
+        ShiftJet(*_jet_coeffs(jet, (0,)))
     with pytest.raises(DimensionMismatch):
-        ShiftJet(*_jet_coeffs(jet, (2,)))
+        ShiftJet(*_jet_coeffs(jet, (0, 1)))
     deep = PathJet(terms={(0,): np.eye(2)}, order=7, missing_is_zero=True)
     with pytest.raises(OrderExceeded):
-        ShiftJet(*_jet_coeffs(deep, (1,) * 7))
+        ShiftJet(*_jet_coeffs(deep, (7,)))
 
 
 def test_embed_validates_units_and_coefficients():
@@ -288,7 +288,7 @@ def test_diagonal_blocks_carry_f_of_base():
     rng = np.random.default_rng(3)
     jet = complete_jet(rng, 3, (1, 1))
     f = get_function("exp")
-    fx = f(ShiftJet(*_jet_coeffs(jet, (1, 2))))
+    fx = f(ShiftJet(*_jet_coeffs(jet, (1, 1))))
     fa = f(jet.base)
     for i in range(4):
         blk = extract_block(fx, i, i, 3)
@@ -350,13 +350,35 @@ def test_partial_scalar_references():
     np.testing.assert_allclose(out[0, 0], -np.sin(1.0), rtol=1e-13)
 
 
-def test_partial_accepts_dirs():
-    rng = np.random.default_rng(8)
-    jet = complete_jet(rng, 2, (1, 1))
-    f = get_function("exp")
-    by_alpha = partial_via_blocktri(f, jet, alpha=(1, 1))
-    by_dirs = partial_via_blocktri(f, jet, dirs=(1, 2))
-    np.testing.assert_array_equal(by_alpha, by_dirs)
+@pytest.mark.parametrize("alpha", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("fname", ["exp", "cos", "x^2"])
+def test_returned_derivative_is_a_writable_copy(alpha, fname):
+    rng = np.random.default_rng(27)
+    jet = complete_jet(rng, 3, alpha)
+    f = get_function(fname)
+    got = partial_via_blocktri(f, jet, alpha)
+    want = got.copy()
+    got[...] = 0.0
+    assert np.array_equal(partial_via_blocktri(f, jet, alpha), want)
+
+
+def test_composition_stays_in_the_algebra():
+    rng = np.random.default_rng(28)
+    jet = complete_jet(rng, 4, (2, 1))
+    exp, cos = get_function("exp"), get_function("cos")
+    inner = []
+
+    def cos_exp(x):
+        e = exp(x)
+        inner.append(type(e))
+        return cos(e)
+
+    got = partial_via_blocktri(cos_exp, jet, (2, 1))
+    assert inner == [ShiftJet]
+    dense = partial_via_blocktri(lambda x: cos(exp(np.asarray(x))), jet, (2, 1))
+    assert frobenius(got - dense) <= 1e-13 * frobenius(dense)
+    by_sum = partial_via_frechet_sum(cos_exp, jet, (2, 1))
+    assert frobenius(got - by_sum) <= 1e-13 * frobenius(by_sum)
 
 
 def test_partial_rejects_alpha_of_other_length():

@@ -155,6 +155,15 @@ def test_density_demo_passes(capsys):
     assert "occupied levels" in captured.err
 
 
+def test_density_demo_reads_any_negative_float_as_mu(capsys):
+    # argparse alone reads "-1e-3" as a flag; "--mu=-1e-3" is the same request
+    assert main(["density-demo", "--mu", "-1e-3", "--seed", "1"]) == 0
+    spaced = capsys.readouterr()
+    assert "mu = -0.001," in spaced.err
+    assert main(["density-demo", "--mu=-1e-3", "--seed", "1"]) == 0
+    assert capsys.readouterr() == spaced
+
+
 @pytest.mark.parametrize("extra", [[], ["--mu", "0.1"]], ids=["widest-gap", "mu"])
 @pytest.mark.parametrize("n", ["1", "0"])
 def test_density_demo_needs_two_levels(capsys, extra, n):
@@ -163,7 +172,7 @@ def test_density_demo_needs_two_levels(capsys, extra, n):
     assert err.startswith("configuration error:") and "--n >= 2" in err
 
 
-@pytest.mark.parametrize("mu", ["nan", "inf", "1e300"])
+@pytest.mark.parametrize("mu", ["nan", "inf", "1e300", "-inf"])
 def test_density_demo_mu_outside_levels_is_input_error(capsys, mu):
     # every level on one side of mu: no gap to sit in, every derivative zero
     assert main(["density-demo", "--mu", mu]) == 1
@@ -277,7 +286,7 @@ def test_custom_needs_jet_terms(capsys):
     assert "configuration error" in captured.err
 
 
-def test_custom_needs_alpha_or_dirs(tmp_path, capsys):
+def test_custom_needs_alpha(tmp_path, capsys):
     a = np.eye(2, dtype=complex)
     base = tmp_path / "base.txt"
     write_matrix(base, a)
@@ -285,6 +294,7 @@ def test_custom_needs_alpha_or_dirs(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "configuration error" in captured.err
+    assert "--alpha" in captured.err and "dirs" not in captured.err
 
 
 def test_unknown_route_rejected_by_parser(tmp_path, capsys):

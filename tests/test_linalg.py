@@ -247,7 +247,7 @@ def test_matrix_functions_match_scipy_on_embeddings(alpha, n):
     sl = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(sum(alpha) * 10 + alpha[0] + n)
     coeffs = {t: rand_complex(rng, n) / n for t in iter_sub_indices(alpha)}
-    x = ShiftJet(*_jet_coeffs(PathJet(terms=coeffs, order=3), [1] * alpha[0] + [2] * alpha[1]))
+    x = ShiftJet(*_jet_coeffs(PathJet(terms=coeffs, order=3), alpha))
     element = ShiftJet({t: c / np.prod([math.factorial(d) for d in t]) for t, c in coeffs.items()},
                        [a + 1 for a in alpha])
     assert np.array_equal(element, x)
@@ -358,6 +358,34 @@ def test_algebra_matches_dense_image(alpha, n, scale):
     assert _scaling(x.coeffs, _shift_table(x.units)[0])[3] == degree_of(dense)
     assert rel_err(matrix_exp(x), matrix_exp(dense)) <= 1e-13
     assert rel_err(matrix_cos(x), matrix_cos(dense)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", ALGEBRA_ALPHAS)
+@pytest.mark.parametrize("fn", [matrix_exp, matrix_cos], ids=["exp", "cos"])
+def test_function_of_element_is_an_element(fn, alpha):
+    # coefficient t of f(X) is block (0, t) of f of the dense image
+    rng = np.random.default_rng(37)
+    n = 4
+    x = ShiftJet(*shift_element(rng, n, alpha, 2.0))
+    fx = fn(x)
+    assert isinstance(fx, ShiftJet) and fx.units == x.units
+    assert not fx.flags.writeable and not fx.coeffs.flags.writeable
+    dense = fn(np.asarray(x))
+    assert np.array_equal(fx, _image(fx.coeffs, _shift_table(x.units)[0]))
+    for t, c in enumerate(fx.coeffs):
+        assert rel_err(c, extract_block(dense, 0, t, n)) <= 1e-13, t
+
+
+@pytest.mark.parametrize("fn", [matrix_exp, matrix_cos], ids=["exp", "cos"])
+def test_plain_imag_and_triangular_inputs_give_a_plain_matrix(fn):
+    rng = np.random.default_rng(38)
+    a = rand_complex(rng, 3) / 4
+    upper = ShiftJet({(0,): np.triu(a), (1,): np.triu(a.T)}, (2,))
+    imag = ShiftJet({(0,): a, (1,): a.T}, (IMAG,))
+    for x in (a, upper, imag):
+        fx = fn(x)
+        assert type(fx) is np.ndarray
+        assert np.array_equal(fx, fn(np.array(x)))
 
 
 @pytest.mark.parametrize("alpha", [(2, 1), (3, 0), (1, 1, 1)])
